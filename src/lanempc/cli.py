@@ -211,7 +211,8 @@ def main(argv=None):
     collided = False
     for name in controllers:
         try:
-            log = harness.run(scenario, params, cfg, controller=name)
+            log = harness.run(scenario, params, cfg, controller=name,
+                              path=path)
         except harness.SimulationAborted as exc:
             if exc.log.rows:
                 write_trajectory_csv(

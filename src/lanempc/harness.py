@@ -76,16 +76,19 @@ def _scenario_is_dynamic(scenario):
     return any(ob.is_moving for ob in scenario.obstacles)
 
 
-def run(scenario, params, cfg, controller="integrated"):
+def run(scenario, params, cfg, controller="integrated", path=None):
     """Simulate a scenario closed-loop and return the SimulationLog.
 
     Static-obstacle runs plan the reference once; dynamic runs rebuild it
-    every control step against predicted obstacle positions.  Raises
-    SimulationAborted (with the partial log attached) on plant failure or
-    persistent solver failure.
+    every control step against predicted obstacle positions.  ``path``,
+    when given, is the initial plan already built at the ego's initial
+    speed (as ``build_lane_change_path(scenario, scenario.ego_initial.vx,
+    params)`` returns it), so a caller that has it is spared a rebuild.
+    Raises SimulationAborted (with the partial log attached) on plant
+    failure or persistent solver failure.
     """
     if controller == "two_level":
-        return run_baseline_two_level(scenario, params, cfg)
+        return run_baseline_two_level(scenario, params, cfg, path=path)
     if controller != "integrated":
         raise ValueError(f"unknown controller {controller!r}")
 
@@ -99,7 +102,8 @@ def run(scenario, params, cfg, controller="integrated"):
 
     state = scenario.ego_initial
     design_vx = scenario.ego_initial.vx
-    path = build_lane_change_path(scenario, design_vx, params)
+    if path is None:
+        path = build_lane_change_path(scenario, design_vx, params)
     warm = zero_sequence(cfg)
     fallbacks = 0
     for k in range(n_steps + 1):
@@ -153,14 +157,15 @@ def _pure_pursuit(state, path, params, lookahead):
 
 def run_baseline_two_level(scenario, params, cfg,
                            lookahead=DEFAULT_LOOKAHEAD,
-                           speed_gain=DEFAULT_SPEED_GAIN):
+                           speed_gain=DEFAULT_SPEED_GAIN, path=None):
     """Two-level baseline: plan the path, then track it.
 
     Level 1 is the same geometric construction (rebuilt per step for moving
     obstacles); level 2 is pure pursuit for steering plus a proportional
     torque holding the initial speed.  Controls are clipped to the same box
     as the integrated controller.  The logged cost is the integrated cost
-    the chosen control would score, for side-by-side comparison.
+    the chosen control would score, for side-by-side comparison.  ``path``
+    is an already built initial plan, as in ``run``.
     """
     n_steps = int(round(scenario.duration / cfg.dt))
     dynamic = _scenario_is_dynamic(scenario)
@@ -172,7 +177,8 @@ def run_baseline_two_level(scenario, params, cfg,
 
     state = scenario.ego_initial
     vx_ref = state.vx
-    path = build_lane_change_path(scenario, vx_ref, params)
+    if path is None:
+        path = build_lane_change_path(scenario, vx_ref, params)
     hc = None
     for k in range(n_steps + 1):
         t = k * cfg.dt

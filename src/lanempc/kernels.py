@@ -42,7 +42,7 @@ def backend_name():
 
 def active():
     """The active backend module (exposes predict_steps / trajectory_cost /
-    horizon_cost)."""
+    horizon_cost / horizon_cost_grad)."""
     return _BACKENDS[_active_name]
 
 

@@ -4,7 +4,8 @@ One receding-horizon step: predict the vehicle over a short horizon with a
 chained one-step-Euler model, score predicted positions with a potential
 field (attraction to the reference path, reciprocal-quartic repulsion from
 the road boundaries, a yaw-acceleration smoothness term), and minimize over
-the steering/torque box.  Pure functions throughout; solves on independent
+the steering/torque box with a projected quasi-Newton method fed by the
+cost's exact gradient.  Pure functions throughout; solves on independent
 scenarios may run concurrently.
 """
 
@@ -42,6 +43,11 @@ class MpcConfig:
     obstacle_weight > 0 adds reciprocal-quartic repulsion from obstacle
     centres to the cost (off by default; obstacles are normally handled by
     the reference path alone).
+
+    solver_tol is the stationarity test of the box solver: a solve counts
+    as converged when the largest projected-gradient entry, each control
+    measured in units of its box span, is at most solver_tol * (1 + |J|).
+    solver_max_iter caps the solver's accepted steps per start.
     """
 
     Np: int = 3
@@ -54,7 +60,7 @@ class MpcConfig:
     Td_max: float = 200.0
     Tb_max: float = 160.0
     obstacle_weight: float = 0.0
-    solver_tol: float = 1e-10
+    solver_tol: float = 1e-9
     solver_max_iter: int = 60
     predictor_yaw_divisor: str = "Iz"
     yaw_accel_diff: str = "forward"
@@ -122,7 +128,7 @@ class SolveResult:
     refs: tuple          # ((Xd, Yd), ...) reference points used
     converged: bool
     fallback: bool       # solver could not produce a finite cost
-    n_eval: int
+    n_eval: int          # value-and-gradient evaluations, both starts
 
 
 def _flatten_controls(seq):
@@ -207,7 +213,7 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
             obs_flat.append(x)
             obs_flat.append(y)
 
-    hc = kernels.active().horizon_cost
+    hcg = kernels.active().horizon_cost_grad
     args = (params.m, params.Iz, params.lf, params.lr, params.Caf,
             params.Car, params.Rw, cfg.dt, cfg.yaw_div_m, tuple(refs_flat),
             road.upper_boundary_y, road.lower_boundary_y,
@@ -216,7 +222,8 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
     sx = (state.vx, state.vy, state.r, state.X, state.Y, state.psi)
 
     def objective(z):
-        return hc(*sx, z, *args)
+        # (J, dJ/dz) of a flat control sequence z
+        return hcg(*sx, z, *args)
 
     lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
     upper = [cfg.delta_max, cfg.Td_max] * cfg.Np

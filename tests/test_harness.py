@@ -48,6 +48,21 @@ class TestRunContracts:
         with pytest.raises(ValueError):
             run(empty_scenario, params, cfg, controller="three_level")
 
+    def test_prebuilt_path_gives_identical_logs(self, params, cfg,
+                                                small_scenario, monkeypatch):
+        path = build_lane_change_path(small_scenario,
+                                      small_scenario.ego_initial.vx, params)
+        rebuilt = {c: run(small_scenario, params, cfg, controller=c)
+                   for c in ("integrated", "two_level")}
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("static plan rebuilt although passed in")
+
+        monkeypatch.setattr(harness, "build_lane_change_path", no_rebuild)
+        for controller, log in rebuilt.items():
+            assert run(small_scenario, params, cfg, controller=controller,
+                       path=path) == log
+
     def test_infeasible_layout_raises(self, params, cfg):
         sc = Scenario(road=Road(), obstacles=(Obstacle(x0=8.0, y0=0.0),),
                       ego_initial=VehicleState(vx=10.0), duration=4.0)
