@@ -166,7 +166,7 @@ def horizon_cost(double vx, double vy, double r, double gx, double gy,
     """See lanempc._core_py.horizon_cost; same contract, same values."""
     cdef int n = len(controls) // 2
     if n > MAX_STEPS:
-        raise ValueError(f"horizon of {n} steps exceeds the cap of {MAX_STEPS}")
+        return INFINITY
     cdef double xa[64]
     cdef double ya[64]
     cdef double vxs[64]
@@ -256,7 +256,7 @@ def horizon_cost_grad(double vx, double vy, double r, double gx, double gy,
     """See lanempc._core_py.horizon_cost_grad; same contract, same values."""
     cdef int n = len(controls) // 2
     if n > MAX_STEPS:
-        raise ValueError(f"horizon of {n} steps exceeds the cap of {MAX_STEPS}")
+        return INFINITY, None
     # Forward-pass tape: the state each step starts from, the control's
     # sin/cos, the front force, the rotation and the new global velocity.
     cdef double t_vx[64]

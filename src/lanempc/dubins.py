@@ -38,8 +38,13 @@ MID_STRAIGHT = 5.0
 # near the end of the run stay on the path.
 _TAIL = 30.0
 
-# Spacing (m) of the post-construction validation sweep.
-_VALIDATE_DS = 0.05
+# Depth (m) of contact with a frozen rectangle that validation still accepts
+# as grazing: swerves pass exactly through the rectangle corners that
+# placed them.
+_GRAZE = 1e-9
+
+# Polar angles at which an arc's x (0, pi) or y (+-pi/2) is extreme.
+_EXTREME_ANGLES = (0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi)
 
 
 class PathConstructionError(ValueError):
@@ -305,6 +310,8 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
     x_start = ego0.X
     ex = x_start if ego_x is None else ego_x
     pvx = vx if predict_vx is None else predict_vx
+    # Mid-run rebuilds check only the geometry from just behind the ego on.
+    from_x = ex - 1.0 if ego_x is not None else None
 
     # Home lane = nearest centreline to the ego's initial y.
     home = min(range(road.n_lanes),
@@ -449,6 +456,25 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
             if d > cap_dip[i] + 1e-9:
                 return i  # dip to the next group does not fit: merge
             d = min(d, cap_targets[i], cap_dip[i])
+            if not pinned:
+                # The swerve is above an adjacent-lane rectangle's near edge
+                # from its climb to its descent.  Where that span meets the
+                # rectangle ahead of from_x, this group has no placement: a
+                # cap pulled the swerve-out so early that the climb runs
+                # into traffic the right-to-left pass counted as cleared.
+                for cxmin, cxmax, cnear in constraints:
+                    above_from = u + _rise_inv(cnear, radius, h, theta, diag,
+                                               s_len)
+                    above_to = d + _rise_inv(h - cnear, radius, h, theta,
+                                             diag, s_len)
+                    if (above_from + 1e-6 < cxmax and cxmin + 1e-6 < above_to
+                            and (from_x is None
+                                 or min(cxmax, above_to) > from_x + 1e-6)):
+                        raise PathConstructionError(
+                            f"adjacent-lane traffic near x={cxmin:.2f} "
+                            f"leaves no room to climb before home-lane "
+                            f"traffic near x={gxmin:.2f} for "
+                            f"radius-{radius:.2f} m arcs")
             plan.append((u, d))
             prev_land = d + s_len
         return plan
@@ -535,32 +561,105 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
                          total_length=total, offsets=tuple(offsets),
                          design_speed=vx)
 
-    _validate(path, road, frozen, from_x=ex - 1.0 if ego_x is not None else None)
+    _validate(path, road, frozen, from_x=from_x)
     return path
 
 
 def _validate(path, road, rects, from_x=None):
-    """Dense sweep: stay inside the road, stay out of every frozen rectangle.
+    """Exact check: stay inside the road, stay out of every frozen rectangle.
 
     The construction rectangles already include the corner margin, so grazing
-    contact with them is allowed; actual penetration is a construction bug or
-    an unplannable layout and raises.  from_x restricts the sweep to the part
-    of the path still ahead of the ego on mid-run rebuilds.
+    contact with them (depth up to _GRAZE) is allowed; actual penetration is
+    a construction bug or an unplannable layout and raises.  The road strip
+    is open.  from_x restricts the check to the part of the path still ahead
+    of the ego (x >= from_x) on mid-run rebuilds.
+
+    Each segment is cut at its critical arclengths: its ends, its crossings
+    of x = from_x, of each rectangle's edge lines (moved inward by _GRAZE),
+    and, on arcs, the points where x or y is extreme.  Between neighbouring
+    cuts a segment lies wholly inside or wholly outside a rectangle and its
+    y is monotone, so testing the cuts and the midpoints between them
+    decides both checks with no gaps.
     """
-    n = max(2, int(path.total_length / _VALIDATE_DS) + 1)
-    for i in range(n + 1):
-        s = min(path.total_length, path.total_length * i / n)
-        x, y, _, _ = sample_reference(path, s)
-        if from_x is not None and x < from_x:
-            continue
-        if not (road.lower_boundary_y < y < road.upper_boundary_y):
-            raise PathConstructionError(
-                f"constructed path leaves the road at s={s:.2f} (y={y:.3f})")
-        for rect in rects:
-            if rect_signed_distance((x, y), rect) < -1e-9:
-                raise PathConstructionError(
-                    f"constructed path enters an obstacle boundary at "
-                    f"s={s:.2f} (x={x:.2f}, y={y:.2f})")
+    lower = road.lower_boundary_y
+    upper = road.upper_boundary_y
+    for seg, off in zip(path.segments, path.offsets):
+        for lo, hi in _ahead(seg, from_x):
+            cuts = [lo, hi]
+            if seg.kind == "arc":
+                cuts += _arc_params(seg, _EXTREME_ANGLES, lo, hi)
+            points = [_sample_segment(seg, t)[:2] for t in cuts]
+            for t, (_, y) in zip(cuts, points):
+                if not lower < y < upper:
+                    raise PathConstructionError(
+                        f"constructed path leaves the road at "
+                        f"s={off + t:.2f} (y={y:.3f})")
+            xs = [p[0] for p in points]
+            ys = [p[1] for p in points]
+            x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+            for rect in rects:
+                if (x1 <= rect.xmin or x0 >= rect.xmax
+                        or y1 <= rect.ymin or y0 >= rect.ymax):
+                    continue  # the piece's bounding box misses the rectangle
+                ts = sorted(cuts
+                            + _crossings(seg, 0, rect.xmin + _GRAZE, lo, hi)
+                            + _crossings(seg, 0, rect.xmax - _GRAZE, lo, hi)
+                            + _crossings(seg, 1, rect.ymin + _GRAZE, lo, hi)
+                            + _crossings(seg, 1, rect.ymax - _GRAZE, lo, hi))
+                ts += [0.5 * (a + b) for a, b in zip(ts, ts[1:])]
+                for t in ts:
+                    x, y, _, _ = _sample_segment(seg, t)
+                    if rect_signed_distance((x, y), rect) < -_GRAZE:
+                        raise PathConstructionError(
+                            f"constructed path enters an obstacle boundary "
+                            f"at s={off + t:.2f} (x={x:.2f}, y={y:.2f})")
+
+
+def _ahead(seg, from_x):
+    """(lo, hi) local-arclength pieces of a segment on which x >= from_x."""
+    if from_x is None:
+        return ((0.0, seg.length),)
+    cuts = sorted([0.0, seg.length]
+                  + _crossings(seg, 0, from_x, 0.0, seg.length))
+    pieces = [(a, b) for a, b in zip(cuts, cuts[1:])
+              if _sample_segment(seg, 0.5 * (a + b))[0] >= from_x]
+    # A cut can be ahead on its own: an end of a segment that leaves x =
+    # from_x backwards, or an arc's x-extreme that just touches it.
+    covered = {t for piece in pieces for t in piece}
+    return pieces + [(t, t) for t in cuts if t not in covered
+                     and _sample_segment(seg, t)[0] >= from_x]
+
+
+def _crossings(seg, axis, c, lo, hi):
+    """Local arclengths in the open interval (lo, hi) at which the segment's
+    coordinate ``axis`` (0 = x, 1 = y) equals c."""
+    if seg.kind == "line":
+        a = seg.start[axis]
+        b = seg.end[axis]
+        if a == b:
+            return []
+        t = (c - a) / (b - a) * seg.length
+        return [t] if lo < t < hi else []
+    k = (c - seg.centre[axis]) / seg.radius
+    if not -1.0 <= k <= 1.0:
+        return []
+    if axis == 0:
+        phi = math.acos(k)
+        return _arc_params(seg, (phi, -phi), lo, hi)
+    phi = math.asin(k)
+    return _arc_params(seg, (phi, math.pi - phi), lo, hi)
+
+
+def _arc_params(seg, angles, lo, hi):
+    """Local arclengths in (lo, hi) at which an arc passes the given polar
+    angles (seen from its centre)."""
+    out = []
+    for phi in angles:
+        t = ((seg.direction * (phi - seg.start_angle)) % (2.0 * math.pi)
+             * seg.radius)
+        if lo < t < hi:
+            out.append(t)
+    return out
 
 
 def dense_samples(path, ds=0.1):

@@ -17,7 +17,7 @@ from . import dynamics, kernels
 from .dubins import (PathConstructionError, build_lane_change_path,
                      nearest_arclength, reference_for_horizon,
                      sample_reference)
-from .mpc import shift_warm_start, solve_step, zero_sequence
+from .mpc import flatten_pairs, shift_warm_start, solve_step, zero_sequence
 from .scenario import min_obstacle_clearance
 
 # Consecutive non-finite solves tolerated before a run aborts.
@@ -197,15 +197,11 @@ def run_baseline_two_level(scenario, params, cfg,
         torque = min(cfg.Td_max, max(-cfg.Tb_max, torque))
 
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-        refs_flat = []
-        for p in refs:
-            refs_flat.append(p[0])
-            refs_flat.append(p[1])
         hc = kernels.active().horizon_cost
         cost = hc(state.vx, state.vy, state.r, state.X, state.Y, state.psi,
                   [delta, torque] * cfg.Np, params.m, params.Iz, params.lf,
                   params.lr, params.Caf, params.Car, params.Rw, cfg.dt,
-                  cfg.yaw_div_m, tuple(refs_flat),
+                  cfg.yaw_div_m, tuple(flatten_pairs(refs)),
                   scenario.road.upper_boundary_y,
                   scenario.road.lower_boundary_y,
                   cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,

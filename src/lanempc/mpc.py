@@ -131,9 +131,11 @@ class SolveResult:
     n_eval: int          # value-and-gradient evaluations, both starts
 
 
-def _flatten_controls(seq):
+def flatten_pairs(pairs):
+    """[a0, b0, a1, b1, ...] from a sequence of pairs: the flat layout the
+    kernels take for controls, reference points and obstacle points."""
     flat = []
-    for pair in seq:
+    for pair in pairs:
         flat.append(pair[0])
         flat.append(pair[1])
     return flat
@@ -141,7 +143,7 @@ def _flatten_controls(seq):
 
 def predict(state, seq, params, cfg):
     """Chained Euler prediction of the state under a control sequence."""
-    controls = _flatten_controls(seq)
+    controls = flatten_pairs(seq)
     try:
         arrays = kernels.active().predict_steps(
             state.vx, state.vy, state.r, state.X, state.Y, state.psi,
@@ -167,19 +169,11 @@ def cost(traj, refs, bounds, cfg, obstacle_points=()):
     exception).  obstacle_points adds optional per-obstacle repulsion scored
     with cfg.obstacle_weight.
     """
-    refs_flat = []
-    for p in refs:
-        refs_flat.append(p[0])
-        refs_flat.append(p[1])
-    obs_flat = []
-    for p in obstacle_points:
-        obs_flat.append(p[0])
-        obs_flat.append(p[1])
     return kernels.active().trajectory_cost(
-        traj.xa, traj.ya, traj.r, traj.r0, cfg.dt, refs_flat,
+        traj.xa, traj.ya, traj.r, traj.r0, cfg.dt, flatten_pairs(refs),
         bounds.xu, bounds.yu, bounds.xl, bounds.yl,
         cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,
-        obs_flat, cfg.obstacle_weight)
+        flatten_pairs(obstacle_points), cfg.obstacle_weight)
 
 
 def shift_warm_start(seq):
@@ -201,24 +195,18 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
     """
     road = scenario.road
     refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-    refs_flat = []
-    for p in refs:
-        refs_flat.append(p[0])
-        refs_flat.append(p[1])
-
-    obs_flat = []
+    obs_points = ()
     if cfg.obstacle_weight != 0.0:
-        for ob in scenario.obstacles:
-            x, y, _ = obstacle_pose_at(ob, at_time)
-            obs_flat.append(x)
-            obs_flat.append(y)
+        obs_points = [obstacle_pose_at(ob, at_time)
+                      for ob in scenario.obstacles]
 
     hcg = kernels.active().horizon_cost_grad
     args = (params.m, params.Iz, params.lf, params.lr, params.Caf,
-            params.Car, params.Rw, cfg.dt, cfg.yaw_div_m, tuple(refs_flat),
+            params.Car, params.Rw, cfg.dt, cfg.yaw_div_m,
+            tuple(flatten_pairs(refs)),
             road.upper_boundary_y, road.lower_boundary_y,
             cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,
-            tuple(obs_flat), cfg.obstacle_weight)
+            tuple(flatten_pairs(obs_points)), cfg.obstacle_weight)
     sx = (state.vx, state.vy, state.r, state.X, state.Y, state.psi)
 
     def objective(z):
@@ -227,7 +215,7 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
 
     lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
     upper = [cfg.delta_max, cfg.Td_max] * cfg.Np
-    warm_flat = _flatten_controls(warm)
+    warm_flat = flatten_pairs(warm)
     warm_clipped = [min(upper[j], max(lower[j], warm_flat[j]))
                     for j in range(2 * cfg.Np)]
 

@@ -32,6 +32,13 @@ def _cost_args(state, controls, refs, diff_mode=1, obs=(), ow=0.0,
             diff_mode, obs, ow)
 
 
+def _over_long_horizon_args():
+    """Cost arguments for a horizon one step past MAX_STEPS."""
+    n = kernels.MAX_STEPS + 1
+    refs = tuple(v for i in range(1, n + 1) for v in (float(i), 0.0))
+    return _cost_args((10.0, 0.0, 0.0, 0.0, 0.0, 0.0), [0.0, 0.0] * n, refs)
+
+
 def _variant_cases(rng, count):
     """Random cost arguments over every diff mode, both yaw divisors and
     obstacle repulsion on and off; references and obstacles sit near the
@@ -126,6 +133,12 @@ class TestBackendParity:
                     TABLE["lr"], TABLE["caf"], TABLE["car"], TABLE["rw"],
                     0.1, False)
             assert comp.predict_steps(*args) == pure.predict_steps(*args)
+
+    def test_over_long_horizon_is_infinite(self):
+        args = _over_long_horizon_args()
+        for mod in (kernels.get("compiled"), kernels.get("python")):
+            assert mod.horizon_cost(*args) == math.inf
+            assert mod.horizon_cost_grad(*args) == (math.inf, None)
 
 
 class TestFusedMatchesComposition:
@@ -232,6 +245,12 @@ class TestKernelContracts:
                               TABLE["m"], TABLE["iz"], TABLE["lf"],
                               TABLE["lr"], TABLE["caf"], TABLE["car"],
                               TABLE["rw"], 0.1, False)
+
+    def test_fused_returns_inf_past_horizon_cap(self):
+        mod = kernels.get("python")
+        args = _over_long_horizon_args()
+        assert mod.horizon_cost(*args) == math.inf
+        assert mod.horizon_cost_grad(*args) == (math.inf, None)
 
     def test_fused_returns_inf_on_floor(self):
         mod = kernels.active()
