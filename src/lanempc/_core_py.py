@@ -1,9 +1,11 @@
 """Pure-Python prediction and cost kernels.
 
-Fallback backend used when the compiled extension (lanempc._core) is not
-available.  Both backends implement the same four functions with the same
-operation ordering, so they return bit-identical floats; lanempc.kernels
-picks between them at import time.
+The solver's hot path: the chained Euler prediction, the potential-field
+cost, and the fused cost with its exact gradient (adjoint sweep) or with
+its gradient and Gauss-Newton Hessian (forward-mode sweep).  Every fused
+kernel repeats ``predict_steps`` and ``trajectory_cost`` operation for
+operation, so they all return the same cost bit for bit.
+lanempc.kernels hands this module out as the "python" backend.
 """
 
 import math
@@ -13,7 +15,7 @@ INF = math.inf
 # Body longitudinal speed below which the slip-angle model is singular.
 VX_FLOOR = 0.1
 
-# Horizon cap shared with the compiled backend (fixed stack buffers there).
+# Longest horizon the kernels accept; MpcConfig rejects longer ones.
 MAX_STEPS = 64
 
 
@@ -219,79 +221,11 @@ def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
         rs.append(r_n)
         vx, vy, r, psi = vx_n, vy_n, r_n, psi_n
 
-    # Cost, in trajectory_cost's order, with its partials in each predicted
-    # x, y and yaw rate.
-    n_obs = len(obs_pts) // 2
-    j = 0.0
-    jx = [0.0] * n
-    jy = [0.0] * n
-    jr = [0.0] * n
-    for i in range(n):
-        ex = xa[i] - refs[2 * i]
-        ey = ya[i] - refs[2 * i + 1]
-        j += a1 * (ex * ex + ey * ey)
-        gxi = 2.0 * a1 * ex
-        gyi = 2.0 * a1 * ey
-        # Boundary pair summed (values and slopes) before accumulating, as
-        # in trajectory_cost, so mirrored problems stay exactly mirrored.
-        tu = 0.0
-        su = 0.0
-        if b1 != 0.0:
-            dx = xa[i] - xa[i]
-            dy = ya[i] - y_upper
-            q = dx * dx + dy * dy
-            if q == 0.0:
-                return INF, None
-            t = 1.0 / q
-            tu = b1 * (t * t)
-            su = -4.0 * tu * t * dy
-        tl = 0.0
-        sl = 0.0
-        if b2 != 0.0:
-            dx = xa[i] - xa[i]
-            dy = ya[i] - y_lower
-            q = dx * dx + dy * dy
-            if q == 0.0:
-                return INF, None
-            t = 1.0 / q
-            tl = b2 * (t * t)
-            sl = -4.0 * tl * t * dy
-        j += tu + tl
-        gyi += su + sl
-        if obs_weight != 0.0:
-            for o in range(n_obs):
-                dx = xa[i] - obs_pts[2 * o]
-                dy = ya[i] - obs_pts[2 * o + 1]
-                q = dx * dx + dy * dy
-                if q == 0.0:
-                    return INF, None
-                t = 1.0 / q
-                tob = obs_weight * (t * t)
-                j += tob
-                gxi -= 4.0 * tob * t * dx
-                gyi -= 4.0 * tob * t * dy
-        jx[i] = gxi
-        jy[i] = gyi
-        if b3 != 0.0:
-            rp = rs[i - 1] if i > 0 else r0
-            if diff_mode == 1 and i + 1 < n:
-                rd = (rs[i + 1] - rs[i]) / dt
-                w = 2.0 * b3 * rd / dt
-                jr[i + 1] += w
-                jr[i] -= w
-            elif diff_mode == 2 and i + 1 < n:
-                rd = (rs[i + 1] - rp) / (2.0 * dt)
-                w = b3 * rd / dt
-                jr[i + 1] += w
-                if i > 0:
-                    jr[i - 1] -= w
-            else:
-                rd = (rs[i] - rp) / dt
-                w = 2.0 * b3 * rd / dt
-                jr[i] += w
-                if i > 0:
-                    jr[i - 1] -= w
-            j += b3 * (rd * rd)
+    parts = _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
+                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
+    if parts is None:
+        return INF, None
+    j, jx, jy, jr = parts
 
     # Reverse sweep: (lvx, lvy, lr_, lpsi, lgx, lgy) is the adjoint of the
     # state after step i, carried back through step i.
@@ -325,3 +259,234 @@ def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
             lr_ + lpsi * dt + (lvx * vy - lvy * vx) * dt
             - af * lf * lfcf + ar * lr * lfcr)
     return j, grad
+
+
+def horizon_cost_gn(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
+                    car, rw, dt, yaw_div_m, refs, y_upper, y_lower,
+                    a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
+    """``horizon_cost`` with its gradient and Gauss-Newton Hessian.
+
+    Returns ``(cost, grad, hess)``, hess a symmetric positive semidefinite
+    list of rows in the layout of ``controls``, or ``(inf, None, None)``
+    wherever ``horizon_cost`` returns +inf.  The cost equals
+    ``horizon_cost`` bit for bit; the gradient is the chain rule through
+    ``predict_jacobians``, exact up to rounding.  The Hessian keeps the
+    cost's curvature in the predicted points and drops the chain's own
+    second derivatives: 2a1(JxᵀJx + JyᵀJy), Σ 20b/dy⁶ JyᵀJy for the
+    boundaries, the radial part 20w/q⁴ (JᵀΔ)(ΔᵀJ) of each obstacle term
+    (Δ the offset from its centre, q = |Δ|²), and 2b3 JṙᵀJṙ for the
+    yaw-acceleration differences.
+    """
+    pred = predict_jacobians(vx, vy, r, gx, gy, psi, controls, m, iz, lf,
+                             lr, caf, car, rw, dt, yaw_div_m)
+    if pred is None:
+        return INF, None, None
+    xa, ya, rs, jac_x, jac_y, jac_r = pred
+    n = len(xa)
+    nc = 2 * n
+    parts = _cost_partials(xa, ya, rs, r, dt, refs, y_upper, y_lower,
+                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
+    if parts is None:
+        return INF, None, None
+    j, jx, jy, jr = parts
+
+    grad = [0.0] * nc
+    hess = [[0.0] * nc for _ in range(nc)]
+    n_obs = len(obs_pts) // 2 if obs_weight != 0.0 else 0
+    zero = [0.0] * nc
+    for i in range(n):
+        ux = jac_x[i]
+        uy = jac_y[i]
+        ur = jac_r[i]
+        for k in range(2 * i + 2):
+            grad[k] += jx[i] * ux[k] + jy[i] * uy[k] + jr[i] * ur[k]
+        # Curvature of step i's point terms in (x, y).
+        cxx = cyy = 2.0 * a1
+        cxy = 0.0
+        for bw, yb in ((b1, y_upper), (b2, y_lower)):
+            if bw != 0.0:
+                t = 1.0 / ((ya[i] - yb) * (ya[i] - yb))
+                cyy += 20.0 * bw * (t * t * t)
+        for o in range(n_obs):
+            dx = xa[i] - obs_pts[2 * o]
+            dy = ya[i] - obs_pts[2 * o + 1]
+            t = 1.0 / (dx * dx + dy * dy)
+            w = 20.0 * obs_weight * (t * t) * (t * t)
+            cxx += w * dx * dx
+            cxy += w * dx * dy
+            cyy += w * dy * dy
+        # Yaw-acceleration row of step i, as trajectory_cost differences.
+        rp = jac_r[i - 1] if i > 0 else zero
+        if diff_mode == 1 and i + 1 < n:
+            rd = [(p - q) / dt for p, q in zip(jac_r[i + 1], ur)]
+        elif diff_mode == 2 and i + 1 < n:
+            rd = [(p - q) / (2.0 * dt) for p, q in zip(jac_r[i + 1], rp)]
+        else:
+            rd = [(p - q) / dt for p, q in zip(ur, rp)]
+        cr = 2.0 * b3
+        active = min(nc, 2 * i + 4)
+        for k in range(active):
+            xk = cxx * ux[k] + cxy * uy[k]
+            yk = cxy * ux[k] + cyy * uy[k]
+            rk = cr * rd[k]
+            row = hess[k]
+            for l in range(k, active):
+                row[l] += xk * ux[l] + yk * uy[l] + rk * rd[l]
+    for k in range(nc):
+        for l in range(k + 1, nc):
+            hess[l][k] = hess[k][l]
+    return j, grad, hess
+
+
+def predict_jacobians(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
+                      car, rw, dt, yaw_div_m):
+    """``predict_steps``' positions and yaw rates with their Jacobians.
+
+    One forward-mode sweep over ``predict_steps``' chain carries a tangent
+    per control.  Returns ``(xa, ya, rs, jac_x, jac_y, jac_r)``,
+    ``jac_x[i][k]`` the derivative of step i's x in controls[k], or None
+    where ``predict_steps`` raises (speed floor, horizon cap).
+    """
+    try:
+        xa, ya, vxs, vys, rs, psis, fcfs, _, vxgs, vygs = predict_steps(
+            vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car, rw,
+            dt, yaw_div_m)
+    except ValueError:
+        return None
+    sin = math.sin
+    cos = math.cos
+    div = m if yaw_div_m else iz
+    km = (2.0 / m) * dt
+    kr = (2.0 / div) * dt
+    n = len(xa)
+    nc = 2 * n
+    # Tangents of (vx, vy, r, psi, gx, gy) in each control; control k only
+    # moves the chain from its own step k // 2 on.
+    tvx = [0.0] * nc
+    tvy = [0.0] * nc
+    tr = [0.0] * nc
+    tpsi = [0.0] * nc
+    tgx = [0.0] * nc
+    tgy = [0.0] * nc
+    jac_x = []
+    jac_y = []
+    jac_r = []
+    for i in range(n):
+        sd = sin(controls[2 * i])
+        cd = cos(controls[2 * i])
+        fcf = fcfs[i]
+        cp = cos(psis[i])
+        sp = sin(psis[i])
+        vxg = vxgs[i]
+        vyg = vygs[i]
+        inv = 1.0 / vx
+        ef = (vy + lf * r) * inv
+        er = (vy - lr * r) * inv
+        for k in range(2 * i + 2):
+            a = tvx[k]
+            b = tvy[k]
+            c = tr[k]
+            dfcf = -caf * ((b + lf * c - ef * a) * inv)
+            dfcr = -car * ((b - lr * c - er * a) * inv)
+            dvx = a + (b * r + vy * c) * dt - km * dfcf * sd
+            dvy = b - (a * r + vx * c) * dt + km * (dfcf * cd + dfcr)
+            if k == 2 * i:
+                # this step's steering angle
+                dvx -= km * (caf * sd + fcf * cd)
+                dvy += km * (caf * cd - fcf * sd)
+                dfcf += caf
+            elif k == 2 * i + 1:
+                # this step's torque
+                dvx += km / rw
+            dpsi = tpsi[k] + c * dt
+            tr[k] = c + kr * (lf * dfcf - lr * dfcr)
+            tvx[k] = dvx
+            tvy[k] = dvy
+            tpsi[k] = dpsi
+            tgx[k] += (dvx * cp - dvy * sp - vyg * dpsi) * dt
+            tgy[k] += (dvx * sp + dvy * cp + vxg * dpsi) * dt
+        jac_x.append(list(tgx))
+        jac_y.append(list(tgy))
+        jac_r.append(list(tr))
+        vx, vy, r = vxs[i], vys[i], rs[i]
+    return xa, ya, rs, jac_x, jac_y, jac_r
+
+def _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
+                   a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
+    """``horizon_cost``'s cost of a predicted trajectory, in
+    trajectory_cost's order, with its partials in each predicted x, y and
+    yaw rate: ``(cost, jx, jy, jr)``, or None where the cost is +inf."""
+    n = len(xa)
+    n_obs = len(obs_pts) // 2
+    j = 0.0
+    jx = [0.0] * n
+    jy = [0.0] * n
+    jr = [0.0] * n
+    for i in range(n):
+        ex = xa[i] - refs[2 * i]
+        ey = ya[i] - refs[2 * i + 1]
+        j += a1 * (ex * ex + ey * ey)
+        gxi = 2.0 * a1 * ex
+        gyi = 2.0 * a1 * ey
+        # Boundary pair summed (values and slopes) before accumulating, as
+        # in trajectory_cost, so mirrored problems stay exactly mirrored.
+        tu = 0.0
+        su = 0.0
+        if b1 != 0.0:
+            dx = xa[i] - xa[i]
+            dy = ya[i] - y_upper
+            q = dx * dx + dy * dy
+            if q == 0.0:
+                return None
+            t = 1.0 / q
+            tu = b1 * (t * t)
+            su = -4.0 * tu * t * dy
+        tl = 0.0
+        sl = 0.0
+        if b2 != 0.0:
+            dx = xa[i] - xa[i]
+            dy = ya[i] - y_lower
+            q = dx * dx + dy * dy
+            if q == 0.0:
+                return None
+            t = 1.0 / q
+            tl = b2 * (t * t)
+            sl = -4.0 * tl * t * dy
+        j += tu + tl
+        gyi += su + sl
+        if obs_weight != 0.0:
+            for o in range(n_obs):
+                dx = xa[i] - obs_pts[2 * o]
+                dy = ya[i] - obs_pts[2 * o + 1]
+                q = dx * dx + dy * dy
+                if q == 0.0:
+                    return None
+                t = 1.0 / q
+                tob = obs_weight * (t * t)
+                j += tob
+                gxi -= 4.0 * tob * t * dx
+                gyi -= 4.0 * tob * t * dy
+        jx[i] = gxi
+        jy[i] = gyi
+        if b3 != 0.0:
+            rp = rs[i - 1] if i > 0 else r0
+            if diff_mode == 1 and i + 1 < n:
+                rd = (rs[i + 1] - rs[i]) / dt
+                w = 2.0 * b3 * rd / dt
+                jr[i + 1] += w
+                jr[i] -= w
+            elif diff_mode == 2 and i + 1 < n:
+                rd = (rs[i + 1] - rp) / (2.0 * dt)
+                w = b3 * rd / dt
+                jr[i + 1] += w
+                if i > 0:
+                    jr[i - 1] -= w
+            else:
+                rd = (rs[i] - rp) / dt
+                w = 2.0 * b3 * rd / dt
+                jr[i] += w
+                if i > 0:
+                    jr[i - 1] -= w
+            j += b3 * (rd * rd)
+
+    return j, jx, jy, jr

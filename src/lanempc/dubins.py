@@ -444,6 +444,20 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
                     f"obstacle near x={gxmin:.2f} leaves no room to start "
                     f"a radius-{radius:.2f} m turn")
             u = max(u, u_min) if not pinned else u
+            if pinned:
+                # The historical swerve-out lies s_len behind the ego or at
+                # the path's start, whichever is later.  Where its climb
+                # reaches a member's far edge only past that member's
+                # leading edge (and ahead of from_x), it runs through it.
+                for bxmin, bxmax, bfar, _ in groups[i]:
+                    clear = u + _rise_inv(bfar, radius, h, theta, diag, s_len)
+                    lo = bxmin if from_x is None else max(bxmin, from_x)
+                    if min(clear, bxmax) > lo + 1e-6:
+                        raise PathConstructionError(
+                            f"the ego is already above home-lane traffic "
+                            f"near x={bxmin:.2f}, but a swerve-out at "
+                            f"x={u:.2f} clears its far edge only at "
+                            f"x={clear:.2f}")
             # A pinned group is already being overflown; no cosmetic plateau.
             plateau = 0.0 if pinned else MIN_PLATEAU
             d = max(u + s_len + plateau,

@@ -200,7 +200,9 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
         obs_points = [obstacle_pose_at(ob, at_time)
                       for ob in scenario.obstacles]
 
-    hcg = kernels.active().horizon_cost_grad
+    backend = kernels.active()
+    hcg = backend.horizon_cost_grad
+    hgn = backend.horizon_cost_gn
     args = (params.m, params.Iz, params.lf, params.lr, params.Caf,
             params.Car, params.Rw, cfg.dt, cfg.yaw_div_m,
             tuple(flatten_pairs(refs)),
@@ -212,6 +214,10 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
     def objective(z):
         # (J, dJ/dz) of a flat control sequence z
         return hcg(*sx, z, *args)
+
+    def curvature(z):
+        # (J, dJ/dz, Gauss-Newton d2J/dz2): seeds the solver at a start
+        return hgn(*sx, z, *args)
 
     lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
     upper = [cfg.delta_max, cfg.Td_max] * cfg.Np
@@ -228,7 +234,8 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
     n_eval = 0
     for x0 in starts:
         res = minimize_box(objective, lower, upper, x0,
-                           tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+                           tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
+                           fgh=curvature)
         n_eval += res.n_eval
         if best is None or res.fun < best.fun:
             best = res

@@ -51,23 +51,29 @@ def fd_gradient(f, x, steps):
     return g
 
 
-def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100):
+def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100, fgh=None):
     """Minimize a smooth function over the box [lower, upper] from x0.
 
     fg takes a list of floats and returns ``(value, gradient)``; a value of
     +inf (gradient ignored) rejects the point.  The iteration keeps a dense
-    inverse-Hessian estimate in span-normalised coordinates, frees the
-    coordinates whose gradient points into the box, steps along the
-    projection arc with Armijo backtracking, and falls back to steepest
-    descent when the quasi-Newton direction does not descend.  Near a
-    minimum, where trial values differ from the current one only by
-    rounding, the sufficient-decrease test is made on the gradients.
+    Hessian estimate B in span-normalised coordinates, frees the
+    coordinates whose gradient points into the box, takes the direction
+    from a Cholesky solve with B's free block, steps along the projection
+    arc with Armijo backtracking, and falls back to steepest descent (and
+    B to the identity) when that block is not positive definite or the
+    direction does not descend.  Near a minimum, where trial values differ
+    from the current one only by rounding, the sufficient-decrease test is
+    made on the gradients.
+
+    fgh, when given, is called once at the clipped start in place of fg and
+    returns ``(value, gradient, hessian)``, hessian a list of rows; B then
+    starts from that curvature instead of the identity.
 
     Returns a BoxResult whose x lies exactly inside the box (clipping, not
     tolerance) and whose fun never exceeds the value at the clipped start.
     converged is True exactly when the span-scaled projected gradient's
     largest entry is at most ``tol * (1 + |fun|)``.  n_eval counts calls of
-    fg; iterations counts accepted steps.
+    fg and fgh; iterations counts accepted steps.
     """
     n = len(x0)
     if len(lower) != n or len(upper) != n:
@@ -82,15 +88,20 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100):
         return min(upper[j], max(lower[j], v))
 
     x = [clip(x0[j], j) for j in rng]
-    fx, gx = fg(x)
+    if fgh is None:
+        fx, gx = fg(x)
+        hx = None
+    else:
+        fx, gx, hx = fgh(x)
     evals = 1
     if not math.isfinite(fx):
         return BoxResult(tuple(x), fx, False, 0, evals)
+    identity = [[1.0 if a == b else 0.0 for b in rng] for a in rng]
+    b_mat = identity if hx is None else [
+        [hx[a][b] * span[a] * span[b] for b in rng] for a in rng]
     x_start, f_start = tuple(x), fx
     g = [gx[j] * span[j] for j in rng]
 
-    identity = [[1.0 if a == b else 0.0 for b in rng] for a in rng]
-    h = identity
     iterations = 0
     converged = False
     while True:
@@ -114,22 +125,18 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100):
         if iterations >= max_iter:
             break
 
-        # Quasi-Newton direction on the free coordinates, from the inverse
-        # of the Hessian estimate's free block; steepest descent when it
-        # does not descend.
-        hf = _free_block_inverse(h, free, n)
+        # Quasi-Newton direction on the free coordinates, B_FF p = -g_F;
+        # steepest descent when B_FF is not positive definite or p does
+        # not descend.
         p = [0.0] * n
-        for a in free:
-            row = hf[a]
-            s = 0.0
-            for b in free:
-                s -= row[b] * g[b]
-            p[a] = s
+        pf = _cholesky_solve(b_mat, free, g)
         slope = 0.0
-        for a in free:
-            slope += g[a] * p[a]
+        if pf is not None:
+            for a, v in zip(free, pf):
+                p[a] = -v
+                slope -= g[a] * v
         if not slope < 0.0:
-            h = identity
+            b_mat = identity
             for a in free:
                 p[a] = -g[a]
 
@@ -140,32 +147,32 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100):
         x_new, f_new, g_new = step
         iterations += 1
 
-        # BFGS update of the inverse Hessian with the scaled step and
-        # gradient change; skipped when the curvature is not positive.
+        # BFGS update of B with the scaled step and gradient change;
+        # skipped when the curvature is not positive.
         s = [(x_new[j] - x[j]) / span[j] if span[j] else 0.0 for j in rng]
         y = [g_new[j] - g[j] for j in rng]
+        x, fx, g = x_new, f_new, g_new
         sy = 0.0
         yy = 0.0
         for j in rng:
             sy += s[j] * y[j]
             yy += y[j] * y[j]
-        x, fx, g = x_new, f_new, g_new
         if sy <= 1e-12 * yy:
             continue
-        hy = [0.0] * n
+        bs = [0.0] * n
         for a in rng:
-            row = h[a]
+            row = b_mat[a]
             t = 0.0
             for b in rng:
-                t += row[b] * y[b]
-            hy[a] = t
-        yhy = 0.0
+                t += row[b] * s[b]
+            bs[a] = t
+        sbs = 0.0
         for j in rng:
-            yhy += y[j] * hy[j]
-        rho = 1.0 / sy
-        c = (1.0 + yhy * rho) * rho
-        h = [[h[a][b] - rho * (hy[a] * s[b] + s[a] * hy[b]) + c * s[a] * s[b]
-              for b in rng] for a in rng]
+            sbs += s[j] * bs[j]
+        if not sbs > 0.0:
+            continue
+        b_mat = [[b_mat[a][b] - bs[a] * bs[b] / sbs + y[a] * y[b] / sy
+                  for b in rng] for a in rng]
     if fx > f_start:
         # Steps judged by gradients ended a rounding error above an
         # unconverged start: keep the start.
@@ -173,48 +180,39 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100):
     return BoxResult(tuple(x), fx, converged, iterations, evals)
 
 
-def _free_block_inverse(h, free, n):
-    """Inverse of the free block of B = h^-1, from the inverse h itself.
-
-    With the bound coordinates A held fixed the Newton step needs
-    (B_FF)^-1, which is the Schur complement H_FF - H_FA H_AA^-1 H_AF;
-    the plain block H_FF would be the inverse for A free as well.  Rows
-    and columns outside ``free`` are left as they are.
-    """
-    bound = [j for j in range(n) if j not in free]
-    if not bound or not free:
-        return h
-    # Solve H_AA Z = H_AF by Gaussian elimination; H_AA is positive
-    # definite, so no pivoting is needed.
-    k = len(bound)
-    a = [[h[i][j] for j in bound] + [h[i][f] for f in free] for i in bound]
+def _cholesky_solve(b_mat, free, g):
+    """Solve B_FF v = g_F (B's rows and columns in ``free``) by Cholesky
+    factorisation; v in the order of ``free``, or None when B_FF is not
+    numerically positive definite."""
+    k = len(free)
+    low = [[0.0] * k for _ in range(k)]
     for c in range(k):
-        piv = a[c][c]
-        if not piv > 0.0:
-            return h
-        for r in range(c + 1, k):
-            m = a[r][c] / piv
-            if m != 0.0:
-                ar, ac = a[r], a[c]
-                for j in range(c, len(ac)):
-                    ar[j] -= m * ac[j]
+        row_c = b_mat[free[c]]
+        lc = low[c]
+        for r in range(c + 1):
+            s = row_c[free[r]]
+            lr = low[r]
+            for q in range(r):
+                s -= lc[q] * lr[q]
+            if r < c:
+                lc[r] = s / lr[r]
+            elif s > 1e-14 * abs(row_c[free[c]]):
+                lc[c] = math.sqrt(s)
+            else:
+                return None
+    v = [0.0] * k
+    for c in range(k):
+        s = g[free[c]]
+        lc = low[c]
+        for q in range(c):
+            s -= lc[q] * v[q]
+        v[c] = s / lc[c]
     for c in range(k - 1, -1, -1):
-        ac = a[c]
-        piv = ac[c]
-        for j in range(k, len(ac)):
-            s = ac[j]
-            for r in range(c + 1, k):
-                s -= ac[r] * a[r][j]
-            ac[j] = s / piv
-    out = [list(row) for row in h]
-    for x, fa in enumerate(free):
-        row = out[fa]
-        for y, fb in enumerate(free):
-            s = h[fa][fb]
-            for r, ar in enumerate(bound):
-                s -= h[fa][ar] * a[r][k + y]
-            row[fb] = s
-    return out
+        s = v[c]
+        for q in range(c + 1, k):
+            s -= low[q][c] * v[q]
+        v[c] = s / low[c][c]
+    return v
 
 
 def _line_search(fg, x, fx, g, p, span, clip, free):

@@ -9,11 +9,6 @@ from lanempc.optimize import fd_gradient
 TABLE = dict(m=2000.0, iz=1300.0, lf=1.2, lr=1.05, caf=12000.0, car=12000.0,
              rw=0.3)
 
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in kernels.available(),
-    reason="compiled backend not built")
-
-
 def _random_case(rng, n):
     state = (rng.uniform(5, 15), rng.uniform(-1.5, 1.5),
              rng.uniform(-0.8, 0.8), rng.uniform(-10, 120),
@@ -96,56 +91,9 @@ class TestBackendSelection:
             kernels.use("fortran")
 
 
-@needs_compiled
-class TestBackendParity:
-    def test_bitwise_identical_costs(self):
-        comp = kernels.get("compiled")
-        pure = kernels.get("python")
-        rng = random.Random(101)
-        for trial in range(400):
-            n = rng.choice([1, 2, 3, 5])
-            state, controls, refs = _random_case(rng, n)
-            diff = rng.choice([0, 1, 2])
-            obs = tuple(rng.uniform(0, 100) for _ in range(4)) \
-                if rng.random() < 0.3 else ()
-            ow = 0.2 if obs else 0.0
-            args = _cost_args(state, controls, refs, diff, obs, ow)
-            a = comp.horizon_cost(*args)
-            b = pure.horizon_cost(*args)
-            assert a == b, f"trial {trial}: {a!r} != {b!r}"
-
-    def test_bitwise_identical_cost_gradients(self):
-        comp = kernels.get("compiled")
-        pure = kernels.get("python")
-        for trial, (_, args) in enumerate(
-                _variant_cases(random.Random(202), 200)):
-            assert comp.horizon_cost_grad(*args) == \
-                pure.horizon_cost_grad(*args), f"trial {trial}"
-
-    def test_bitwise_identical_predictions(self):
-        comp = kernels.get("compiled")
-        pure = kernels.get("python")
-        rng = random.Random(77)
-        for _ in range(200):
-            n = rng.choice([1, 3])
-            state, controls, _ = _random_case(rng, n)
-            args = (*state, controls, TABLE["m"], TABLE["iz"], TABLE["lf"],
-                    TABLE["lr"], TABLE["caf"], TABLE["car"], TABLE["rw"],
-                    0.1, False)
-            assert comp.predict_steps(*args) == pure.predict_steps(*args)
-
-    def test_over_long_horizon_is_infinite(self):
-        args = _over_long_horizon_args()
-        for mod in (kernels.get("compiled"), kernels.get("python")):
-            assert mod.horizon_cost(*args) == math.inf
-            assert mod.horizon_cost_grad(*args) == (math.inf, None)
-
-
 class TestFusedMatchesComposition:
-    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    @pytest.mark.parametrize("backend", ["python"])
     def test_horizon_cost_equals_predict_plus_cost(self, backend):
-        if backend not in kernels.available():
-            pytest.skip("backend not built")
         mod = kernels.get(backend)
         rng = random.Random(5)
         for _ in range(100):
@@ -211,21 +159,128 @@ class TestCostGradient:
         assert mod.horizon_cost_grad(*args) == (math.inf, None)
 
 
-@needs_compiled
-def test_closed_loop_runs_bitwise_identical_across_backends(params, cfg,
-                                                            small_scenario):
-    # Guards against compiler transformations (fused multiply-add, sincos
-    # fusion) sneaking last-ulp differences into the compiled backend.
-    from lanempc.harness import run
-    before = kernels.backend_name()
-    try:
-        kernels.use("compiled")
-        a = run(small_scenario, params, cfg)
-        kernels.use("python")
-        b = run(small_scenario, params, cfg)
-    finally:
-        kernels.use(before)
-    assert a == b
+class TestGaussNewton:
+    def test_cost_equals_horizon_cost_bitwise(self):
+        mod = kernels.active()
+        for trial, (_, args) in enumerate(
+                _variant_cases(random.Random(31), 240)):
+            cost, grad, hess = mod.horizon_cost_gn(*args)
+            assert cost == mod.horizon_cost(*args), f"trial {trial}"
+            assert len(grad) == len(hess) == len(args[6])
+
+    def test_gradient_matches_adjoint(self):
+        mod = kernels.active()
+        for trial, (_, args) in enumerate(
+                _variant_cases(random.Random(53), 240)):
+            _, adjoint = mod.horizon_cost_grad(*args)
+            _, grad, _ = mod.horizon_cost_gn(*args)
+            for j, (a, b) in enumerate(zip(grad, adjoint)):
+                assert abs(a - b) <= 1e-9 * (abs(a) + abs(b)), \
+                    f"trial {trial}, coordinate {j}: {a!r} vs {b!r}"
+
+    def test_jacobians_match_finite_differences(self):
+        mod = kernels.active()
+        for trial, (controls, args) in enumerate(
+                _variant_cases(random.Random(61), 80)):
+            chain = args[:16]
+            xa, _, _, jac_x, jac_y, jac_r = mod.predict_jacobians(*chain)
+            for k in range(len(controls)):
+                h = 1e-6 * _SPANS[k % 2]
+                plus, minus = list(controls), list(controls)
+                plus[k] += h
+                minus[k] -= h
+                hi = mod.predict_steps(*chain[:6], plus, *chain[7:])
+                lo = mod.predict_steps(*chain[:6], minus, *chain[7:])
+                for jac, col in ((jac_x, 0), (jac_y, 1), (jac_r, 4)):
+                    for i in range(len(xa)):
+                        fd = (hi[col][i] - lo[col][i]) / (2.0 * h)
+                        a = jac[i][k]
+                        # rounding of x, y ~ 100 m over h dominates
+                        assert abs(a - fd) <= 1e-5 * (abs(a) + abs(fd)) \
+                            + 1e-7, f"trial {trial}, step {i}, control {k}"
+
+    def test_hessian_symmetric_positive_semidefinite(self):
+        mod = kernels.active()
+        rng = random.Random(71)
+        for trial, (_, args) in enumerate(
+                _variant_cases(random.Random(67), 240)):
+            _, _, hess = mod.horizon_cost_gn(*args)
+            n = len(hess)
+            scale = max(abs(v) for row in hess for v in row)
+            for a in range(n):
+                assert all(hess[a][b] == hess[b][a] for b in range(n))
+            for _ in range(20):
+                v = [rng.gauss(0.0, 1.0) for _ in range(n)]
+                quad = sum(v[a] * hess[a][b] * v[b]
+                           for a in range(n) for b in range(n))
+                assert quad >= -1e-12 * scale * sum(x * x for x in v), \
+                    f"trial {trial}"
+
+    def test_hessian_is_cost_curvature_along_the_linearised_chain(self):
+        # Without obstacle terms the Gauss-Newton Hessian is exactly the
+        # second derivative of trajectory_cost at the predicted points
+        # moved along the chain's Jacobian: v'Hv = d2/dt2 J(P + t Jv).
+        # Each obstacle term adds its radial curvature 20w/q^4 (Δ'Jv)^2.
+        mod = kernels.active()
+        rng = random.Random(73)
+        for trial, (_, args) in enumerate(
+                _variant_cases(random.Random(79), 120)):
+            xa, ya, rs, jac_x, jac_y, jac_r = mod.predict_jacobians(
+                *args[:16])
+            n = len(xa)
+            refs, y_upper, y_lower, a1, b1, b2, b3, diff, obs, ow = args[16:]
+            _, _, hess = mod.horizon_cost_gn(*args[:-2], (), 0.0)
+            _, _, hess_obs = mod.horizon_cost_gn(*args)
+
+            def along(t, v):
+                move = [[p + t * sum(row[k] * v[k] for k in range(2 * n))
+                         for p, row in zip(vals, jac)]
+                        for vals, jac in ((xa, jac_x), (ya, jac_y),
+                                          (rs, jac_r))]
+                return mod.trajectory_cost(
+                    move[0], move[1], move[2], args[2], 0.1, refs,
+                    move[0], (y_upper,) * n, move[0], (y_lower,) * n,
+                    a1, b1, b2, b3, diff, (), 0.0)
+
+            for _ in range(3):
+                v = [rng.gauss(0.0, 1.0) * _SPANS[k % 2] * 1e-3
+                     for k in range(2 * n)]
+                h = 1e-2
+                fd = (along(h, v) - 2.0 * along(0.0, v) + along(-h, v)) / h ** 2
+                quad = sum(v[a] * hess[a][b] * v[b]
+                           for a in range(2 * n) for b in range(2 * n))
+                assert quad == pytest.approx(fd, rel=1e-4, abs=1e-9), \
+                    f"trial {trial}"
+                radial = 0.0
+                for i in range(n):
+                    mx = sum(jac_x[i][k] * v[k] for k in range(2 * n))
+                    my = sum(jac_y[i][k] * v[k] for k in range(2 * n))
+                    for o in range(0, len(obs), 2):
+                        dx, dy = xa[i] - obs[o], ya[i] - obs[o + 1]
+                        q = dx * dx + dy * dy
+                        radial += 20.0 * ow / q ** 4 * (dx * mx + dy * my) ** 2
+                quad_obs = sum(v[a] * hess_obs[a][b] * v[b]
+                               for a in range(2 * n) for b in range(2 * n))
+                assert quad_obs - quad == pytest.approx(radial, rel=1e-6,
+                                                        abs=1e-15)
+
+    def test_infinite_where_horizon_cost_is(self):
+        mod = kernels.active()
+        refs = (1.0, 0.0, 2.0, 0.0, 3.0, 0.0)
+        cases = [_cost_args(state, [0.0, -160.0] * 3, refs)
+                 for state in ((0.05, 0.0, 0.0, 0.0, 0.0, 0.0),
+                               (0.15, 0.0, 0.0, 0.0, 0.0, 0.0))]
+        on_path = ((10.0, 0.0, 0.0, 0.0, 1.0, 0.0), [0.0, 0.0] * 3,
+                   (1.0, 1.0, 2.0, 1.0, 3.0, 1.0))
+        cases.append(_cost_args(*on_path, y_upper=1.0))
+        cases.append(_cost_args(*on_path, obs=(2.0, 1.0), ow=0.5))
+        cases.append(_over_long_horizon_args())
+        for args in cases:
+            assert mod.horizon_cost(*args) == math.inf
+            assert mod.horizon_cost_gn(*args) == (math.inf, None, None)
+        # the chain itself fails only on the speed floor and the cap
+        assert mod.predict_jacobians(*cases[0][:16]) is None
+        assert mod.predict_jacobians(*cases[-1][:16]) is None
 
 
 class TestKernelContracts:

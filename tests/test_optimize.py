@@ -144,6 +144,69 @@ class TestMinimizeBox:
         assert not res.converged
 
 
+class TestInitialCurvature:
+    """minimize_box seeded with a Hessian through ``fgh``."""
+
+    @staticmethod
+    def coupled(centre, hess):
+        # f(x) = (x - c)' A (x - c) / 2 with a dense A
+        def fg(x):
+            d = [xi - ci for xi, ci in zip(x, centre)]
+            g = [sum(a * dj for a, dj in zip(row, d)) for row in hess]
+            return 0.5 * sum(gi * di for gi, di in zip(g, d)), g
+
+        def fgh(x):
+            value, g = fg(x)
+            return value, g, [list(row) for row in hess]
+        return fg, fgh
+
+    def test_exact_hessian_converges_in_one_step(self):
+        hess = [[4.0, 1.0, 0.5], [1.0, 3.0, -0.4], [0.5, -0.4, 2.0]]
+        fg, fgh = self.coupled([0.3, -0.2, 0.1], hess)
+        res = minimize_box(fg, [-1.0] * 3, [1.0] * 3, [0.0] * 3, fgh=fgh)
+        assert res.converged
+        assert res.iterations == 1 and res.n_eval == 2
+        for got, want in zip(res.x, (0.3, -0.2, 0.1)):
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_active_bound_uses_free_block(self):
+        # The unconstrained minimum (0.3, 1.5) lies beyond x1's bound: the
+        # first Newton step is projected onto (0.3, 1).  With x1 held
+        # there, the free block's Newton step solves 4 x0 + 1 = 4 * 0.3 +
+        # 1.5 for x0 = 0.425 in one more step.
+        hess = [[4.0, 1.0], [1.0, 3.0]]
+        fg, fgh = self.coupled([0.3, 1.5], hess)
+        lower, upper = [-1.0, -1.0], [1.0, 1.0]
+        res = minimize_box(fg, lower, upper, [0.0, 0.0], fgh=fgh)
+        assert res.converged
+        assert res.x[1] == 1.0
+        assert res.x[0] == pytest.approx(0.425, abs=1e-12)
+        assert res.iterations == 2
+        plain = minimize_box(fg, lower, upper, [0.0, 0.0])
+        assert plain.converged and plain.x[1] == 1.0
+        assert plain.x[0] == pytest.approx(0.425, abs=1e-9)
+        assert res.n_eval < plain.n_eval
+
+    def test_singular_curvature_falls_back_to_steepest_descent(self):
+        # A zero Hessian has no Cholesky factor: B restarts at the identity.
+        fg = quadratic([0.2, -0.3])
+
+        def fgh(x):
+            value, g = fg(x)
+            return value, g, [[0.0, 0.0], [0.0, 0.0]]
+
+        res = minimize_box(fg, [-1.0, -1.0], [1.0, 1.0], [0.0, 0.0],
+                           fgh=fgh)
+        assert res.converged
+        assert res.x == pytest.approx((0.2, -0.3), abs=1e-9)
+
+    def test_nonfinite_start_with_curvature(self):
+        res = minimize_box(quadratic([0.0]), [0.0], [1.0], [0.5],
+                           fgh=lambda x: (math.inf, None, None))
+        assert not res.converged and res.fun == math.inf
+        assert res.n_eval == 1 and res.iterations == 0
+
+
 class TestFdGradient:
     def test_matches_analytic_on_cubic(self):
         def f(x):

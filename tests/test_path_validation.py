@@ -375,6 +375,33 @@ def test_climb_into_adjacent_lane_traffic_is_refused_by_the_planner(params):
         build_lane_change_path(sc, 8.0, params)
 
 
+def test_climb_through_pinned_obstacle_is_refused_by_the_planner(params):
+    # Found by the fuzzing above.  A rebuild finds the ego at x = 9, above
+    # the home-lane rectangle from x = 8.70 on.  The path cannot start its
+    # climb before x = 0, and from there it clears the rectangle's far edge
+    # only at x = 9.55, inside it.  The validator used to be the only check
+    # to refuse this ("enters an obstacle boundary at s=8.96").
+    def scenario(x_start):
+        return Scenario(road=Road(lane_width=3.0, lower_boundary_y=-1.5),
+                        obstacles=(Obstacle(x0=12.0, y0=0.0),),
+                        ego_initial=VehicleState(vx=9.0, X=x_start),
+                        duration=15.0)
+
+    checked = []
+    with mock.patch.object(dubins, "_validate",
+                           lambda *args: checked.append(args)):
+        with pytest.raises(PathConstructionError,
+                           match=r"above home-lane traffic near x=8\.70, "
+                                 r"but a swerve-out at x=0\.00 clears"):
+            build_lane_change_path(scenario(0.0), 9.0, params, ego_x=9.0,
+                                   ego_y=2.0)
+    assert checked == []
+    # With room behind the ego the climb ends where the ego is.
+    path = build_lane_change_path(scenario(-20.0), 9.0, params, ego_x=9.0,
+                                  ego_y=2.0)
+    assert path.waypoints[3] == pytest.approx((9.0, 3.0))
+
+
 # -- closed loop ---------------------------------------------------------------
 
 @pytest.mark.parametrize("controller", ["integrated", "two_level"])

@@ -40,8 +40,8 @@ def test_solver_effort_bounds(solves, name):
     results = [res for _, _, res in solves[name]]
     mean_eval = sum(r.n_eval for r in results) / len(results)
     converged = sum(r.converged for r in results) / len(results)
-    assert mean_eval <= 150, f"{mean_eval:.1f} evaluations per step"
-    assert converged >= 0.85, f"converged on {converged:.3f} of steps"
+    assert mean_eval <= 30, f"{mean_eval:.1f} evaluations per step"
+    assert converged >= 0.99, f"converged on {converged:.3f} of steps"
     assert not any(r.fallback for r in results)
 
 
