@@ -2,21 +2,74 @@
 
 The solver's hot path: the chained Euler prediction, the potential-field
 cost, and the fused cost with its exact gradient (adjoint sweep) or with
-its gradient and Gauss-Newton Hessian (forward-mode sweep).  Every fused
-kernel repeats ``predict_steps`` and ``trajectory_cost`` operation for
-operation, so they all return the same cost bit for bit.
-lanempc.kernels hands this module out as the "python" backend.
+its gradient and Gauss-Newton Hessian (forward-mode sweep).  The Euler
+step exists once, in ``_chain``, and the cost sum once, in
+``_cost_partials``; every kernel composes the two, so they all return the
+same cost bit for bit.  lanempc.kernels hands this module out as the
+"python" backend.
 """
 
 import math
 
-INF = math.inf
+from .dynamics import VX_FLOOR
 
-# Body longitudinal speed below which the slip-angle model is singular.
-VX_FLOOR = 0.1
+INF = math.inf
 
 # Longest horizon the kernels accept; MpcConfig rejects longer ones.
 MAX_STEPS = 64
+
+
+def _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car, rw,
+           dt, yaw_div_m):
+    """The chained one-step-Euler prediction (see ``predict_steps``).
+
+    Returns ``(xa, ya, rs, tape)``: lists of the predicted global x, global
+    y and yaw rate, and per step the record ``(vx, vy, r, sd, cd, fcf, cp,
+    sp, vxg, vyg, vx_n, vy_n, psi_n, fcr)``.  The first ten are what the
+    derivative sweeps need: the state the step starts from, the steering's
+    sine and cosine, the front force, the new heading's cosine and sine and
+    the new global velocity.  The last four complete ``predict_steps``'
+    columns.  Raises ValueError as ``predict_steps`` does.
+    """
+    n = len(controls) // 2
+    if n > MAX_STEPS:
+        raise ValueError(f"horizon of {n} steps exceeds the cap of {MAX_STEPS}")
+    if vx < VX_FLOOR:
+        raise ValueError(f"longitudinal speed {vx!r} below floor {VX_FLOOR}")
+    sin = math.sin
+    cos = math.cos
+    div = m if yaw_div_m else iz
+    xa = []
+    ya = []
+    rs = []
+    tape = []
+    for i in range(n):
+        d = controls[2 * i]
+        tq = controls[2 * i + 1]
+        fcf = -caf * ((vy + lf * r) / vx - d)
+        fcr = -car * ((vy - lr * r) / vx)
+        sd = sin(d)
+        cd = cos(d)
+        vx_n = vx + (vy * r - (2.0 / m) * (fcf * sd - tq / rw)) * dt
+        vy_n = vy + (-vx * r + (2.0 / m) * (fcf * cd + fcr)) * dt
+        r_n = r + ((2.0 / div) * (lf * fcf - lr * fcr)) * dt
+        psi_n = psi + r * dt
+        if vx_n < VX_FLOOR:
+            raise ValueError(
+                f"predicted longitudinal speed {vx_n!r} below floor {VX_FLOOR}")
+        cp = cos(psi_n)
+        sp = sin(psi_n)
+        vxg = vx_n * cp - vy_n * sp
+        vyg = vx_n * sp + vy_n * cp
+        gx = gx + vxg * dt
+        gy = gy + vyg * dt
+        tape.append((vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg,
+                     vx_n, vy_n, psi_n, fcr))
+        xa.append(gx)
+        ya.append(gy)
+        rs.append(r_n)
+        vx, vy, r, psi = vx_n, vy_n, r_n, psi_n
+    return xa, ya, rs, tape
 
 
 def predict_steps(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car,
@@ -37,51 +90,12 @@ def predict_steps(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car,
     Raises ValueError if any longitudinal speed in the chain drops below
     VX_FLOOR.
     """
-    n = len(controls) // 2
-    if n > MAX_STEPS:
-        raise ValueError(f"horizon of {n} steps exceeds the cap of {MAX_STEPS}")
-    if vx < VX_FLOOR:
-        raise ValueError(f"longitudinal speed {vx!r} below floor {VX_FLOOR}")
-    xa = []
-    ya = []
-    vxs = []
-    vys = []
-    rs = []
-    psis = []
-    fcfs = []
-    fcrs = []
-    vxgs = []
-    vygs = []
-    for i in range(n):
-        d = controls[2 * i]
-        tq = controls[2 * i + 1]
-        fcf = -caf * ((vy + lf * r) / vx - d)
-        fcr = -car * ((vy - lr * r) / vx)
-        div = m if yaw_div_m else iz
-        vx_n = vx + (vy * r - (2.0 / m) * (fcf * math.sin(d) - tq / rw)) * dt
-        vy_n = vy + (-vx * r + (2.0 / m) * (fcf * math.cos(d) + fcr)) * dt
-        r_n = r + ((2.0 / div) * (lf * fcf - lr * fcr)) * dt
-        psi_n = psi + r * dt
-        if vx_n < VX_FLOOR:
-            raise ValueError(
-                f"predicted longitudinal speed {vx_n!r} below floor {VX_FLOOR}")
-        vxg = vx_n * math.cos(psi_n) - vy_n * math.sin(psi_n)
-        vyg = vx_n * math.sin(psi_n) + vy_n * math.cos(psi_n)
-        gx = gx + vxg * dt
-        gy = gy + vyg * dt
-        xa.append(gx)
-        ya.append(gy)
-        vxs.append(vx_n)
-        vys.append(vy_n)
-        rs.append(r_n)
-        psis.append(psi_n)
-        fcfs.append(fcf)
-        fcrs.append(fcr)
-        vxgs.append(vxg)
-        vygs.append(vyg)
-        vx, vy, r, psi = vx_n, vy_n, r_n, psi_n
-    return (tuple(xa), tuple(ya), tuple(vxs), tuple(vys), tuple(rs),
-            tuple(psis), tuple(fcfs), tuple(fcrs), tuple(vxgs), tuple(vygs))
+    xa, ya, rs, tape = _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf,
+                              lr, caf, car, rw, dt, yaw_div_m)
+    (_, _, _, _, _, fcfs, _, _, vxgs, vygs, vxs, vys, psis,
+     fcrs) = tuple(zip(*tape)) or ((),) * 14
+    return (tuple(xa), tuple(ya), vxs, vys, tuple(rs), psis, fcfs, fcrs,
+            vxgs, vygs)
 
 
 def trajectory_cost(xa, ya, rs, r0, dt, refs, xu, yu, xl, yl,
@@ -100,53 +114,9 @@ def trajectory_cost(xa, ya, rs, r0, dt, refs, xu, yu, xl, yl,
     or obstacle centre yields +inf (sentinel, not an exception) whenever the
     corresponding weight is nonzero.
     """
-    n = len(xa)
-    n_obs = len(obs_pts) // 2
-    j = 0.0
-    for i in range(n):
-        ex = xa[i] - refs[2 * i]
-        ey = ya[i] - refs[2 * i + 1]
-        j += a1 * (ex * ex + ey * ey)
-        # The boundary pair is summed before accumulating so a mirrored
-        # problem (roles of the two boundaries swapped) scores bit-identically.
-        tu = 0.0
-        if b1 != 0.0:
-            dx = xa[i] - xu[i]
-            dy = ya[i] - yu[i]
-            q = dx * dx + dy * dy
-            if q == 0.0:
-                return INF
-            t = 1.0 / q
-            tu = b1 * (t * t)
-        tl = 0.0
-        if b2 != 0.0:
-            dx = xa[i] - xl[i]
-            dy = ya[i] - yl[i]
-            q = dx * dx + dy * dy
-            if q == 0.0:
-                return INF
-            t = 1.0 / q
-            tl = b2 * (t * t)
-        j += tu + tl
-        if obs_weight != 0.0:
-            for o in range(n_obs):
-                dx = xa[i] - obs_pts[2 * o]
-                dy = ya[i] - obs_pts[2 * o + 1]
-                q = dx * dx + dy * dy
-                if q == 0.0:
-                    return INF
-                t = 1.0 / q
-                j += obs_weight * (t * t)
-        if b3 != 0.0:
-            rp = rs[i - 1] if i > 0 else r0
-            if diff_mode == 1 and i + 1 < n:
-                rd = (rs[i + 1] - rs[i]) / dt
-            elif diff_mode == 2 and i + 1 < n:
-                rd = (rs[i + 1] - rp) / (2.0 * dt)
-            else:
-                rd = (rs[i] - rp) / dt
-            j += b3 * (rd * rd)
-    return j
+    parts = _cost_partials(xa, ya, rs, r0, dt, refs, xu, yu, xl, yl,
+                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
+    return INF if parts is None else parts[0]
 
 
 def horizon_cost(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car,
@@ -160,16 +130,14 @@ def horizon_cost(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car,
     speed chain falls below VX_FLOOR.
     """
     try:
-        xa, ya, _, _, rs, _, _, _, _, _ = predict_steps(
-            vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car,
-            rw, dt, yaw_div_m)
+        xa, ya, rs, _ = _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf,
+                               lr, caf, car, rw, dt, yaw_div_m)
     except ValueError:
         return INF
     n = len(xa)
-    yu = (y_upper,) * n
-    yl = (y_lower,) * n
-    return trajectory_cost(xa, ya, rs, r, dt, refs, xa, yu, xa, yl,
-                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
+    return trajectory_cost(xa, ya, rs, r, dt, refs, xa, (y_upper,) * n,
+                           xa, (y_lower,) * n, a1, b1, b2, b3, diff_mode,
+                           obs_pts, obs_weight)
 
 
 def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
@@ -178,63 +146,32 @@ def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
     """``horizon_cost`` together with its exact gradient in ``controls``.
 
     Returns ``(cost, grad)``, grad a list in the layout of ``controls``, or
-    ``(inf, None)`` wherever ``horizon_cost`` returns +inf.  The forward
-    pass repeats ``predict_steps`` and ``trajectory_cost`` operation for
-    operation, so the cost equals ``horizon_cost`` bit for bit; the gradient
-    comes from one reverse (adjoint) sweep over the Euler chain.
+    ``(inf, None)`` wherever ``horizon_cost`` returns +inf.  The cost equals
+    ``horizon_cost`` bit for bit; the gradient comes from one reverse
+    (adjoint) sweep over the Euler chain's record.
     """
-    n = len(controls) // 2
-    if n > MAX_STEPS or vx < VX_FLOOR:
+    try:
+        xa, ya, rs, tape = _chain(vx, vy, r, gx, gy, psi, controls, m, iz,
+                                  lf, lr, caf, car, rw, dt, yaw_div_m)
+    except ValueError:
         return INF, None
-    sin = math.sin
-    cos = math.cos
-    div = m if yaw_div_m else iz
-    r0 = r
-    # Forward pass.  Per step: the state it starts from, the control's
-    # sin/cos, the front force, the rotation and the new global velocity.
-    tape = []
-    xa = []
-    ya = []
-    rs = []
-    for i in range(n):
-        d = controls[2 * i]
-        tq = controls[2 * i + 1]
-        fcf = -caf * ((vy + lf * r) / vx - d)
-        fcr = -car * ((vy - lr * r) / vx)
-        sd = sin(d)
-        cd = cos(d)
-        vx_n = vx + (vy * r - (2.0 / m) * (fcf * sd - tq / rw)) * dt
-        vy_n = vy + (-vx * r + (2.0 / m) * (fcf * cd + fcr)) * dt
-        r_n = r + ((2.0 / div) * (lf * fcf - lr * fcr)) * dt
-        psi_n = psi + r * dt
-        if vx_n < VX_FLOOR:
-            return INF, None
-        cp = cos(psi_n)
-        sp = sin(psi_n)
-        vxg = vx_n * cp - vy_n * sp
-        vyg = vx_n * sp + vy_n * cp
-        gx = gx + vxg * dt
-        gy = gy + vyg * dt
-        tape.append((vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg))
-        xa.append(gx)
-        ya.append(gy)
-        rs.append(r_n)
-        vx, vy, r, psi = vx_n, vy_n, r_n, psi_n
-
-    parts = _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
-                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
+    n = len(xa)
+    parts = _cost_partials(xa, ya, rs, r, dt, refs, xa, (y_upper,) * n,
+                           xa, (y_lower,) * n, a1, b1, b2, b3, diff_mode,
+                           obs_pts, obs_weight)
     if parts is None:
         return INF, None
     j, jx, jy, jr = parts
 
     # Reverse sweep: (lvx, lvy, lr_, lpsi, lgx, lgy) is the adjoint of the
     # state after step i, carried back through step i.
+    div = m if yaw_div_m else iz
     km = (2.0 / m) * dt
     kr = (2.0 / div) * dt
     grad = [0.0] * (2 * n)
     lvx = lvy = lr_ = lpsi = lgx = lgy = 0.0
     for i in range(n - 1, -1, -1):
-        vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg = tape[i]
+        vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg, _, _, _, _ = tape[i]
         lgx += jx[i]
         lgy += jy[i]
         lr_ += jr[i]
@@ -284,8 +221,9 @@ def horizon_cost_gn(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
     xa, ya, rs, jac_x, jac_y, jac_r = pred
     n = len(xa)
     nc = 2 * n
-    parts = _cost_partials(xa, ya, rs, r, dt, refs, y_upper, y_lower,
-                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
+    parts = _cost_partials(xa, ya, rs, r, dt, refs, xa, (y_upper,) * n,
+                           xa, (y_lower,) * n, a1, b1, b2, b3, diff_mode,
+                           obs_pts, obs_weight)
     if parts is None:
         return INF, None, None
     j, jx, jy, jr = parts
@@ -342,19 +280,16 @@ def predict_jacobians(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
                       car, rw, dt, yaw_div_m):
     """``predict_steps``' positions and yaw rates with their Jacobians.
 
-    One forward-mode sweep over ``predict_steps``' chain carries a tangent
+    One forward-mode sweep over the Euler chain's record carries a tangent
     per control.  Returns ``(xa, ya, rs, jac_x, jac_y, jac_r)``,
     ``jac_x[i][k]`` the derivative of step i's x in controls[k], or None
     where ``predict_steps`` raises (speed floor, horizon cap).
     """
     try:
-        xa, ya, vxs, vys, rs, psis, fcfs, _, vxgs, vygs = predict_steps(
-            vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car, rw,
-            dt, yaw_div_m)
+        xa, ya, rs, tape = _chain(vx, vy, r, gx, gy, psi, controls, m, iz,
+                                  lf, lr, caf, car, rw, dt, yaw_div_m)
     except ValueError:
         return None
-    sin = math.sin
-    cos = math.cos
     div = m if yaw_div_m else iz
     km = (2.0 / m) * dt
     kr = (2.0 / div) * dt
@@ -372,13 +307,7 @@ def predict_jacobians(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
     jac_y = []
     jac_r = []
     for i in range(n):
-        sd = sin(controls[2 * i])
-        cd = cos(controls[2 * i])
-        fcf = fcfs[i]
-        cp = cos(psis[i])
-        sp = sin(psis[i])
-        vxg = vxgs[i]
-        vyg = vygs[i]
+        vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg, _, _, _, _ = tape[i]
         inv = 1.0 / vx
         ef = (vy + lf * r) * inv
         er = (vy - lr * r) * inv
@@ -408,14 +337,18 @@ def predict_jacobians(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
         jac_x.append(list(tgx))
         jac_y.append(list(tgy))
         jac_r.append(list(tr))
-        vx, vy, r = vxs[i], vys[i], rs[i]
     return xa, ya, rs, jac_x, jac_y, jac_r
 
-def _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
+
+def _cost_partials(xa, ya, rs, r0, dt, refs, xu, yu, xl, yl,
                    a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
-    """``horizon_cost``'s cost of a predicted trajectory, in
-    trajectory_cost's order, with its partials in each predicted x, y and
-    yaw rate: ``(cost, jx, jy, jr)``, or None where the cost is +inf."""
+    """``trajectory_cost`` with its partials in each predicted x, y and yaw
+    rate: ``(cost, jx, jy, jr)``, or None where the cost is +inf.
+
+    The partials take the boundary samples as abreast of the predicted
+    points (``xu`` and ``xl`` are ``xa``, as the fused kernels pass them),
+    so the boundary terms have no x-partials.
+    """
     n = len(xa)
     n_obs = len(obs_pts) // 2
     j = 0.0
@@ -428,13 +361,14 @@ def _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
         j += a1 * (ex * ex + ey * ey)
         gxi = 2.0 * a1 * ex
         gyi = 2.0 * a1 * ey
-        # Boundary pair summed (values and slopes) before accumulating, as
-        # in trajectory_cost, so mirrored problems stay exactly mirrored.
+        # The boundary pair (values and slopes) is summed before
+        # accumulating so a mirrored problem (roles of the two boundaries
+        # swapped) scores bit-identically.
         tu = 0.0
         su = 0.0
         if b1 != 0.0:
-            dx = xa[i] - xa[i]
-            dy = ya[i] - y_upper
+            dx = xa[i] - xu[i]
+            dy = ya[i] - yu[i]
             q = dx * dx + dy * dy
             if q == 0.0:
                 return None
@@ -444,8 +378,8 @@ def _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
         tl = 0.0
         sl = 0.0
         if b2 != 0.0:
-            dx = xa[i] - xa[i]
-            dy = ya[i] - y_lower
+            dx = xa[i] - xl[i]
+            dy = ya[i] - yl[i]
             q = dx * dx + dy * dy
             if q == 0.0:
                 return None
@@ -488,5 +422,4 @@ def _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
                 if i > 0:
                     jr[i - 1] -= w
             j += b3 * (rd * rd)
-
     return j, jx, jy, jr

@@ -203,21 +203,6 @@ def _change_geometry(radius, h, diag):
     return theta, s_len
 
 
-def _rise(d, radius, h, theta, diag, s_len):
-    """Height gained d metres into one arc-line-arc lane change (0 -> h)."""
-    if d <= 0.0:
-        return 0.0
-    if d >= s_len:
-        return h
-    d_arc = radius * math.sin(theta)
-    if d <= d_arc:
-        return radius - math.sqrt(radius * radius - d * d)
-    if d >= s_len - d_arc:
-        dd = s_len - d
-        return h - (radius - math.sqrt(radius * radius - dd * dd))
-    return radius * (1.0 - math.cos(theta)) + (d - d_arc) * math.tan(theta)
-
-
 def _rise_inv(y, radius, h, theta, diag, s_len):
     """Longitudinal distance at which the lane change first reaches height y."""
     if y <= 0.0:
@@ -470,25 +455,31 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
             if d > cap_dip[i] + 1e-9:
                 return i  # dip to the next group does not fit: merge
             d = min(d, cap_targets[i], cap_dip[i])
-            if not pinned:
-                # The swerve is above an adjacent-lane rectangle's near edge
-                # from its climb to its descent.  Where that span meets the
-                # rectangle ahead of from_x, this group has no placement: a
-                # cap pulled the swerve-out so early that the climb runs
-                # into traffic the right-to-left pass counted as cleared.
-                for cxmin, cxmax, cnear in constraints:
-                    above_from = u + _rise_inv(cnear, radius, h, theta, diag,
-                                               s_len)
-                    above_to = d + _rise_inv(h - cnear, radius, h, theta,
-                                             diag, s_len)
-                    if (above_from + 1e-6 < cxmax and cxmin + 1e-6 < above_to
-                            and (from_x is None
-                                 or min(cxmax, above_to) > from_x + 1e-6)):
+            # The swerve is above an adjacent-lane rectangle's near edge
+            # from its climb to its descent.  Where that span meets the
+            # rectangle ahead of from_x, this group has no placement: a
+            # cap pulled the swerve-out so early that the climb runs into
+            # traffic the right-to-left pass counted as cleared, or, for a
+            # pinned group, the historical swerve already runs beside
+            # traffic that starts too far back to be a cap.
+            for cxmin, cxmax, cnear in constraints:
+                above_from = u + _rise_inv(cnear, radius, h, theta, diag,
+                                           s_len)
+                above_to = d + _rise_inv(h - cnear, radius, h, theta,
+                                         diag, s_len)
+                if (above_from + 1e-6 < cxmax and cxmin + 1e-6 < above_to
+                        and (from_x is None
+                             or min(cxmax, above_to) > from_x + 1e-6)):
+                    if pinned:
                         raise PathConstructionError(
-                            f"adjacent-lane traffic near x={cxmin:.2f} "
-                            f"leaves no room to climb before home-lane "
-                            f"traffic near x={gxmin:.2f} for "
-                            f"radius-{radius:.2f} m arcs")
+                            f"the ego is already above home-lane traffic "
+                            f"near x={gxmin:.2f}, and its swerve runs into "
+                            f"adjacent-lane traffic near x={cxmin:.2f}")
+                    raise PathConstructionError(
+                        f"adjacent-lane traffic near x={cxmin:.2f} "
+                        f"leaves no room to climb before home-lane "
+                        f"traffic near x={gxmin:.2f} for "
+                        f"radius-{radius:.2f} m arcs")
             plan.append((u, d))
             prev_land = d + s_len
         return plan

@@ -123,7 +123,6 @@ class BoundarySamples:
 class SolveResult:
     u0: tuple            # (delta_f, Tr) applied this step
     sequence: tuple      # ((delta_f, Tr), ...) over the horizon
-    trajectory: object   # PredictedTrajectory; None on an unpredictable fallback
     cost: float
     refs: tuple          # ((Xd, Yd), ...) reference points used
     converged: bool
@@ -243,16 +242,9 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
     if not math.isfinite(best.fun):
         seq = tuple((warm_clipped[2 * i], warm_clipped[2 * i + 1])
                     for i in range(cfg.Np))
-        try:
-            traj = predict(state, seq, params, cfg)
-        except LowSpeedError:
-            traj = None
-        return SolveResult(u0=seq[0], sequence=seq, trajectory=traj,
-                           cost=best.fun, refs=refs, converged=False,
-                           fallback=True, n_eval=n_eval)
+        return SolveResult(u0=seq[0], sequence=seq, cost=best.fun, refs=refs,
+                           converged=False, fallback=True, n_eval=n_eval)
 
     seq = tuple((best.x[2 * i], best.x[2 * i + 1]) for i in range(cfg.Np))
-    traj = predict(state, seq, params, cfg)
-    return SolveResult(u0=seq[0], sequence=seq, trajectory=traj,
-                       cost=best.fun, refs=refs, converged=best.converged,
-                       fallback=False, n_eval=n_eval)
+    return SolveResult(u0=seq[0], sequence=seq, cost=best.fun, refs=refs,
+                       converged=best.converged, fallback=False, n_eval=n_eval)

@@ -96,9 +96,8 @@ class TestRunContracts:
             res = real_solve(state, scenario, path, p, c, warm,
                              at_time=at_time)
             return type(res)(u0=res.u0, sequence=res.sequence,
-                             trajectory=res.trajectory, cost=math.inf,
-                             refs=res.refs, converged=False, fallback=True,
-                             n_eval=res.n_eval)
+                             cost=math.inf, refs=res.refs, converged=False,
+                             fallback=True, n_eval=res.n_eval)
 
         monkeypatch.setattr(harness, "solve_step", broken_solve)
         with pytest.raises(SimulationAborted) as err:

@@ -153,6 +153,14 @@ class TestCost:
                                  xl=traj.xa, yl=(0.0,) * 3)
         want = 3 * (cfg.b1 + cfg.b2) * (1.0 / 1.75 ** 2) ** 2
         assert cost(traj, refs, bounds, cfg) == pytest.approx(want, rel=1e-12)
+        # Samples not abreast: the upper ones 0.75 m ahead, the lower ones
+        # 1 m behind, so q = 0.75² + 1.75² = 3.625 and 1² + 1.75² = 4.0625.
+        skewed = BoundarySamples(xu=tuple(x + 0.75 for x in traj.xa),
+                                 yu=(3.5,) * 3,
+                                 xl=tuple(x - 1.0 for x in traj.xa),
+                                 yl=(0.0,) * 3)
+        want = 3 * (cfg.b1 / 3.625 ** 2 + cfg.b2 / 4.0625 ** 2)
+        assert cost(traj, refs, skewed, cfg) == pytest.approx(want, rel=1e-12)
 
     def test_zero_weights_zero_cost(self):
         cfg = MpcConfig(a1=0.0, b1=0.0, b2=0.0, b3=0.0)
@@ -288,7 +296,6 @@ class TestSolveStep:
         res = solve_step(state, sc, path, params, cfg, warm)
         assert res.fallback and not res.converged
         assert res.cost == math.inf
-        assert res.trajectory is None
         for d, tq in res.sequence:
             assert -cfg.delta_max <= d <= cfg.delta_max
             assert -cfg.Tb_max <= tq <= cfg.Td_max

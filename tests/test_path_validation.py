@@ -402,6 +402,38 @@ def test_climb_through_pinned_obstacle_is_refused_by_the_planner(params):
     assert path.waypoints[3] == pytest.approx((9.0, 3.0))
 
 
+def test_pinned_swerve_into_adjacent_lane_traffic_is_refused_by_the_planner(
+        params):
+    # Found by fuzzing with anchors anywhere on the road.  A rebuild finds
+    # the ego at x = 82.10, above the ramping home-lane obstacle and inside
+    # the static adjacent-lane rectangle from x = 79.12 on.  That rectangle
+    # starts behind x = ego_x - 1, so it caps no swerve-back, and the
+    # validator used to be the only check to refuse the path ("enters an
+    # obstacle boundary at s=81.45").
+    sc = Scenario(road=Road(lane_width=3.25, lower_boundary_y=-1.625),
+                  obstacles=(Obstacle(x0=82.4181968397236, y0=3.25),
+                             Obstacle(x0=44.162043890657706, y0=0.0,
+                                      initial_speed=3.292454580329608,
+                                      target_speed=6.287745741191743,
+                                      acceleration=0.4816378759374985)),
+                  ego_initial=VehicleState(vx=11.637652743610907,
+                                           Y=-0.0506857641090416),
+                  duration=15.0)
+    checked = []
+    with mock.patch.object(dubins, "_validate",
+                           lambda *args: checked.append(args)):
+        with pytest.raises(PathConstructionError,
+                           match=r"above home-lane traffic near x=81\.81, "
+                                 r"and its swerve runs into adjacent-lane "
+                                 r"traffic near x=79\.12"):
+            build_lane_change_path(sc, 11.637652743610907, params,
+                                   at_time=7.993495828637562,
+                                   ego_x=82.10044711355712,
+                                   ego_y=2.0303971179522344,
+                                   predict_vx=10.102107077813478)
+    assert checked == []
+
+
 # -- closed loop ---------------------------------------------------------------
 
 @pytest.mark.parametrize("controller", ["integrated", "two_level"])
