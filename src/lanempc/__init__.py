@@ -14,7 +14,7 @@ from .dubins import (PathConstructionError, PathSegment, ReferencePath,
                      nearest_arclength, reference_for_horizon,
                      sample_reference)
 from .harness import (Metrics, SimulationAborted, SimulationLog,
-                      compute_metrics, run, run_baseline_two_level)
+                      compute_metrics, run)
 from .mpc import (BoundarySamples, MpcConfig, PredictedTrajectory,
                   SolveResult, boundary_samples, cost, predict, solve_step)
 from .optimize import BoxResult, minimize_box
@@ -34,6 +34,6 @@ __all__ = [
     "lateral_tire_forces", "min_obstacle_clearance", "min_turn_radius",
     "minimize_box", "nearest_arclength", "obstacle_boundary_at",
     "obstacle_pose_at", "predict", "reference_for_horizon", "run",
-    "run_baseline_two_level", "sample_reference", "scenario_from_dict",
-    "slip_angles", "solve_step", "state_derivative", "step",
+    "sample_reference", "scenario_from_dict", "slip_angles", "solve_step",
+    "state_derivative", "step",
 ]

@@ -23,12 +23,12 @@ from .scenario import min_obstacle_clearance
 # Consecutive non-finite solves tolerated before a run aborts.
 _MAX_FALLBACKS = 3
 
-# Baseline defaults (editorial): lookahead distance (m) and proportional
+# Two-level baseline (editorial): lookahead distance (m) and proportional
 # torque gain (N m per m/s of speed error).  The short lookahead makes the
 # tracker tight enough to stay clear of obstacle boundaries at the cost of
 # a visibly busier yaw response.
-DEFAULT_LOOKAHEAD = 2.5
-DEFAULT_SPEED_GAIN = 400.0
+_LOOKAHEAD = 2.5
+_SPEED_GAIN = 400.0
 
 
 class SimulationAborted(RuntimeError):
@@ -72,12 +72,13 @@ class Metrics:
     control_saturation_fraction: float
 
 
-def _scenario_is_dynamic(scenario):
-    return any(ob.is_moving for ob in scenario.obstacles)
+class _Abort(Exception):
+    """A controller's reason to stop the run; ``run`` attaches the log."""
 
 
 def run(scenario, params, cfg, controller="integrated", path=None):
-    """Simulate a scenario closed-loop and return the SimulationLog.
+    """Simulate a scenario closed-loop under ``controller`` ("integrated"
+    or "two_level") and return the SimulationLog.
 
     Static-obstacle runs plan the reference once; dynamic runs rebuild it
     every control step against predicted obstacle positions.  ``path``,
@@ -87,25 +88,21 @@ def run(scenario, params, cfg, controller="integrated", path=None):
     Raises SimulationAborted (with the partial log attached) on plant
     failure or persistent solver failure.
     """
-    if controller == "two_level":
-        return run_baseline_two_level(scenario, params, cfg, path=path)
-    if controller != "integrated":
+    if controller not in _CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
-
     n_steps = int(round(scenario.duration / cfg.dt))
-    dynamic = _scenario_is_dynamic(scenario)
+    dynamic = any(ob.is_moving for ob in scenario.obstacles)
     rows = []
 
     def abort(cause):
         raise SimulationAborted(
-            cause, SimulationLog(tuple(rows), cfg.dt, "integrated"))
+            cause, SimulationLog(tuple(rows), cfg.dt, controller))
 
     state = scenario.ego_initial
     design_vx = scenario.ego_initial.vx
     if path is None:
         path = build_lane_change_path(scenario, design_vx, params)
-    warm = zero_sequence(cfg)
-    fallbacks = 0
+    control = _CONTROLLERS[controller](scenario, params, cfg)
     for k in range(n_steps + 1):
         t = k * cfg.dt
         if dynamic and k > 0:
@@ -122,102 +119,80 @@ def run(scenario, params, cfg, controller="integrated", path=None):
                 # the clearance metric judge the outcome.
                 pass
         try:
+            u, cost, (ref_x, ref_y), converged = control(state, path, t)
+        except _Abort as exc:
+            abort(str(exc))
+        clearance = min_obstacle_clearance((state.X, state.Y), t, scenario)
+        rows.append(LogRow(t=t, state=state, control=u, cost=cost,
+                           ref_x=ref_x, ref_y=ref_y, clearance=clearance,
+                           converged=converged))
+        if k < n_steps:
+            try:
+                state = dynamics.step(
+                    state, dynamics.ControlInput(*u), params, cfg.dt)
+            except (dynamics.LowSpeedError, dynamics.PlantFailureError) as exc:
+                abort(f"plant failure at t={t:.2f}: {exc}")
+    return SimulationLog(tuple(rows), cfg.dt, controller)
+
+
+def _integrated(scenario, params, cfg):
+    """Receding-horizon control: one solve per step, warm-started from the
+    previous solution shifted by one step."""
+    warm = zero_sequence(cfg)
+    fallbacks = 0
+
+    def control(state, path, t):
+        nonlocal warm, fallbacks
+        try:
             res = solve_step(state, scenario, path, params, cfg, warm,
                              at_time=t)
         except dynamics.LowSpeedError as exc:
-            abort(f"predictor singular at t={t:.2f}: {exc}")
+            raise _Abort(f"predictor singular at t={t:.2f}: {exc}") from exc
         fallbacks = fallbacks + 1 if res.fallback else 0
         if fallbacks >= _MAX_FALLBACKS:
-            abort(f"solver produced no finite cost for {fallbacks} "
-                  f"consecutive steps ending t={t:.2f}")
-        clearance = min_obstacle_clearance((state.X, state.Y), t, scenario)
-        rows.append(LogRow(t=t, state=state, control=res.u0, cost=res.cost,
-                           ref_x=res.refs[0][0], ref_y=res.refs[0][1],
-                           clearance=clearance, converged=res.converged))
-        if k < n_steps:
-            try:
-                state = dynamics.step(
-                    state, dynamics.ControlInput(*res.u0), params, cfg.dt)
-            except (dynamics.LowSpeedError, dynamics.PlantFailureError) as exc:
-                abort(f"plant failure at t={t:.2f}: {exc}")
+            raise _Abort(f"solver produced no finite cost for {fallbacks} "
+                         f"consecutive steps ending t={t:.2f}")
         warm = shift_warm_start(res.sequence)
-    return SimulationLog(tuple(rows), cfg.dt, "integrated")
+        return res.u0, res.cost, res.refs[0], res.converged
+
+    return control
 
 
-def _pure_pursuit(state, path, params, lookahead):
-    """Geometric steering toward a point `lookahead` metres up the path."""
-    s0, _ = nearest_arclength(path, state.X, state.Y)
-    s = min(s0 + lookahead, path.total_length)
-    tx, ty, _, _ = sample_reference(path, s)
-    alpha = math.atan2(ty - state.Y, tx - state.X) - state.psi
-    alpha = (alpha + math.pi) % (2.0 * math.pi) - math.pi
+def _two_level(scenario, params, cfg):
+    """Two-level baseline tracker: pure pursuit (Coulter 1992) toward the
+    plan point ``_LOOKAHEAD`` metres on from the nearest one, plus a
+    proportional torque holding the initial speed, both clipped to the
+    integrated controller's box.  The logged cost is the integrated cost the
+    chosen control would score, for side-by-side comparison."""
+    vx_ref = scenario.ego_initial.vx
     wheelbase = params.lf + params.lr
-    return math.atan2(2.0 * wheelbase * math.sin(alpha), lookahead)
 
-
-def run_baseline_two_level(scenario, params, cfg,
-                           lookahead=DEFAULT_LOOKAHEAD,
-                           speed_gain=DEFAULT_SPEED_GAIN, path=None):
-    """Two-level baseline: plan the path, then track it.
-
-    Level 1 is the same geometric construction (rebuilt per step for moving
-    obstacles); level 2 is pure pursuit for steering plus a proportional
-    torque holding the initial speed.  Controls are clipped to the same box
-    as the integrated controller.  The logged cost is the integrated cost
-    the chosen control would score, for side-by-side comparison.  ``path``
-    is an already built initial plan, as in ``run``.
-    """
-    n_steps = int(round(scenario.duration / cfg.dt))
-    dynamic = _scenario_is_dynamic(scenario)
-    rows = []
-
-    def abort(cause):
-        raise SimulationAborted(
-            cause, SimulationLog(tuple(rows), cfg.dt, "two_level"))
-
-    state = scenario.ego_initial
-    vx_ref = state.vx
-    if path is None:
-        path = build_lane_change_path(scenario, vx_ref, params)
-    hc = None
-    for k in range(n_steps + 1):
-        t = k * cfg.dt
-        if dynamic and k > 0:
-            try:
-                path = build_lane_change_path(scenario, vx_ref, params,
-                                              at_time=t, ego_x=state.X,
-                                              ego_y=state.Y,
-                                              predict_vx=state.vx)
-            except PathConstructionError:
-                # Same stale-plan fallback as the integrated loop.
-                pass
-        delta = _pure_pursuit(state, path, params, lookahead)
+    def control(state, path, t):
+        s0, _ = nearest_arclength(path, state.X, state.Y)
+        tx, ty, _, _ = sample_reference(
+            path, min(s0 + _LOOKAHEAD, path.total_length))
+        alpha = math.atan2(ty - state.Y, tx - state.X) - state.psi
+        alpha = (alpha + math.pi) % (2.0 * math.pi) - math.pi
+        delta = math.atan2(2.0 * wheelbase * math.sin(alpha), _LOOKAHEAD)
         delta = min(cfg.delta_max, max(-cfg.delta_max, delta))
-        torque = speed_gain * (vx_ref - state.vx)
+        torque = _SPEED_GAIN * (vx_ref - state.vx)
         torque = min(cfg.Td_max, max(-cfg.Tb_max, torque))
-
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-        hc = kernels.active().horizon_cost
-        cost = hc(state.vx, state.vy, state.r, state.X, state.Y, state.psi,
-                  [delta, torque] * cfg.Np, params.m, params.Iz, params.lf,
-                  params.lr, params.Caf, params.Car, params.Rw, cfg.dt,
-                  cfg.yaw_div_m, tuple(flatten_pairs(refs)),
-                  scenario.road.upper_boundary_y,
-                  scenario.road.lower_boundary_y,
-                  cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,
-                  (), 0.0)
-        clearance = min_obstacle_clearance((state.X, state.Y), t, scenario)
-        rows.append(LogRow(t=t, state=state, control=(delta, torque),
-                           cost=cost, ref_x=refs[0][0], ref_y=refs[0][1],
-                           clearance=clearance, converged=True))
-        if k < n_steps:
-            try:
-                state = dynamics.step(
-                    state, dynamics.ControlInput(delta, torque), params,
-                    cfg.dt)
-            except (dynamics.LowSpeedError, dynamics.PlantFailureError) as exc:
-                abort(f"plant failure at t={t:.2f}: {exc}")
-    return SimulationLog(tuple(rows), cfg.dt, "two_level")
+        cost = kernels.active().horizon_cost(
+            state.vx, state.vy, state.r, state.X, state.Y, state.psi,
+            [delta, torque] * cfg.Np, params.m, params.Iz, params.lf,
+            params.lr, params.Caf, params.Car, params.Rw, cfg.dt,
+            cfg.yaw_div_m, tuple(flatten_pairs(refs)),
+            scenario.road.upper_boundary_y, scenario.road.lower_boundary_y,
+            cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code, (), 0.0)
+        return (delta, torque), cost, refs[0], True
+
+    return control
+
+
+# Per-step controllers by name: each is built once per run and returns
+# ``control(state, path, t) -> (u, cost, (ref_x, ref_y), converged)``.
+_CONTROLLERS = {"integrated": _integrated, "two_level": _two_level}
 
 
 def compute_metrics(log, path, scenario, cfg):

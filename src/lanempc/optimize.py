@@ -30,27 +30,6 @@ class BoxResult:
     n_eval: int
 
 
-def fd_gradient(f, x, steps):
-    """Central finite-difference gradient with per-coordinate steps.
-
-    Kept as the reference the analytic gradients are tested against.
-    """
-    g = []
-    xs = list(x)
-    for j, h in enumerate(steps):
-        if h == 0.0:
-            g.append(0.0)
-            continue
-        orig = xs[j]
-        xs[j] = orig + h
-        fp = f(xs)
-        xs[j] = orig - h
-        fm = f(xs)
-        xs[j] = orig
-        g.append((fp - fm) / (2.0 * h))
-    return g
-
-
 def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100, fgh=None):
     """Minimize a smooth function over the box [lower, upper] from x0.
 

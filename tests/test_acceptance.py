@@ -12,13 +12,14 @@ from lanempc import cli, kernels
 from lanempc.dubins import (build_lane_change_path, min_turn_radius,
                             reference_for_horizon, sample_reference)
 from lanempc.dynamics import ControlInput, VehicleParams, VehicleState, step
-from lanempc.harness import compute_metrics, run, run_baseline_two_level
+from lanempc.harness import compute_metrics, run
 from lanempc.mpc import (MpcConfig, boundary_samples, cost, predict,
                          solve_step, zero_sequence)
-from lanempc.optimize import fd_gradient
 from lanempc.scenario import (Obstacle, Road, Scenario, obstacle_boundary_at,
                               rect_signed_distance, dynamic_three_vehicle,
                               static_three_vehicle)
+
+from fd_reference import fd_gradient
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -46,7 +47,7 @@ def static_runs(table_params, default_cfg):
     t0 = time.monotonic()
     log = run(sc, table_params, default_cfg)
     elapsed = time.monotonic() - t0
-    baseline = run_baseline_two_level(sc, table_params, default_cfg)
+    baseline = run(sc, table_params, default_cfg, controller="two_level")
     path = build_lane_change_path(sc, 10.0, table_params)
     return sc, log, baseline, path, elapsed
 
@@ -57,7 +58,7 @@ def dynamic_runs(table_params, default_cfg):
     t0 = time.monotonic()
     log = run(sc, table_params, default_cfg)
     elapsed = time.monotonic() - t0
-    baseline = run_baseline_two_level(sc, table_params, default_cfg)
+    baseline = run(sc, table_params, default_cfg, controller="two_level")
     path = build_lane_change_path(sc, 10.0, table_params)
     return sc, log, baseline, path, elapsed
 
@@ -249,21 +250,30 @@ def test_criterion_7_numerical_hygiene(table_params, default_cfg):
     ratio = gap(s1, s2) / gap(s2, s3)
     order_ok = ratio >= 8.0
 
-    # (c) mirrored closed-loop run is the Y-negated trajectory
+    # (c) mirrored closed-loop run is the exactly Y-negated trajectory,
+    # under both controllers
     sc2 = static_three_vehicle()
     mirrored = Scenario(
         road=Road(lane_width=3.5, n_lanes=2, lower_boundary_y=-5.25),
         obstacles=tuple(Obstacle(x0=o.x0, y0=-o.y0) for o in sc2.obstacles),
         ego_initial=VehicleState(vx=10.0), duration=sc2.duration)
-    log = run(sc2, table_params, cfg)
-    mlog = run(mirrored, table_params, cfg)
     worst = 0.0
-    for a, b in zip(log.rows, mlog.rows):
-        worst = max(worst,
-                    abs(a.state.Y + b.state.Y), abs(a.state.psi + b.state.psi),
-                    abs(a.state.X - b.state.X), abs(a.state.vx - b.state.vx),
-                    abs(a.state.vy + b.state.vy), abs(a.state.r + b.state.r))
-    mirror_ok = worst <= 1e-3
+    for controller in ("integrated", "two_level"):
+        log = run(sc2, table_params, cfg, controller=controller)
+        mlog = run(mirrored, table_params, cfg, controller=controller)
+        assert len(log.rows) == len(mlog.rows)
+        for a, b in zip(log.rows, mlog.rows):
+            worst = max(worst,
+                        abs(a.state.Y + b.state.Y),
+                        abs(a.state.psi + b.state.psi),
+                        abs(a.state.X - b.state.X),
+                        abs(a.state.vx - b.state.vx),
+                        abs(a.state.vy + b.state.vy),
+                        abs(a.state.r + b.state.r),
+                        abs(a.control[0] + b.control[0]),
+                        abs(a.control[1] - b.control[1]),
+                        abs(a.cost - b.cost))
+    mirror_ok = worst == 0.0
     _report(7, "numerical hygiene", grad_ok and order_ok and mirror_ok,
             f"grad ok={grad_ok}, rk ratio {ratio:.1f}, "
             f"mirror dev {worst:.2e}")

@@ -6,8 +6,7 @@ from lanempc import harness
 from lanempc.dubins import PathConstructionError, build_lane_change_path
 from lanempc.dynamics import VehicleState
 from lanempc.harness import (LogRow, Metrics, SimulationAborted,
-                             SimulationLog, compute_metrics, run,
-                             run_baseline_two_level)
+                             SimulationLog, compute_metrics, run)
 from lanempc.scenario import Obstacle, Road, Scenario
 
 
@@ -20,7 +19,7 @@ class TestRunEmptyRoad:
 
     def test_baseline_agrees_on_empty_road(self, params, cfg, empty_scenario):
         a = run(empty_scenario, params, cfg)
-        b = run_baseline_two_level(empty_scenario, params, cfg)
+        b = run(empty_scenario, params, cfg, controller="two_level")
         for ra, rb in zip(a.rows, b.rows):
             assert abs(ra.state.Y - rb.state.Y) < 1e-2
 
@@ -30,10 +29,14 @@ class TestRunEmptyRoad:
             assert row.t == k * cfg.dt
 
 
+CONTROLLERS = ("integrated", "two_level")
+
+
 class TestRunContracts:
-    def test_deterministic(self, params, cfg, small_scenario):
-        assert run(small_scenario, params, cfg) == run(small_scenario,
-                                                       params, cfg)
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_deterministic(self, params, cfg, small_scenario, controller):
+        assert (run(small_scenario, params, cfg, controller=controller)
+                == run(small_scenario, params, cfg, controller=controller))
 
     def test_controls_logged_within_bounds(self, params, cfg, small_scenario):
         log = run(small_scenario, params, cfg)
@@ -42,9 +45,6 @@ class TestRunContracts:
             assert -cfg.Tb_max <= row.control[1] <= cfg.Td_max
 
     def test_dispatch_by_name(self, params, cfg, empty_scenario):
-        direct = run_baseline_two_level(empty_scenario, params, cfg)
-        named = run(empty_scenario, params, cfg, controller="two_level")
-        assert direct == named
         with pytest.raises(ValueError):
             run(empty_scenario, params, cfg, controller="three_level")
 
@@ -53,7 +53,7 @@ class TestRunContracts:
         path = build_lane_change_path(small_scenario,
                                       small_scenario.ego_initial.vx, params)
         rebuilt = {c: run(small_scenario, params, cfg, controller=c)
-                   for c in ("integrated", "two_level")}
+                   for c in CONTROLLERS}
 
         def no_rebuild(*args, **kwargs):
             raise AssertionError("static plan rebuilt although passed in")
@@ -69,9 +69,10 @@ class TestRunContracts:
         with pytest.raises(PathConstructionError):
             run(sc, params, cfg)
 
+    @pytest.mark.parametrize("controller", CONTROLLERS)
     def test_plant_failure_aborts_with_partial_log(self, params, cfg,
                                                    empty_scenario,
-                                                   monkeypatch):
+                                                   monkeypatch, controller):
         from lanempc import dynamics
         real_step = dynamics.step
         calls = {"n": 0}
@@ -84,8 +85,9 @@ class TestRunContracts:
 
         monkeypatch.setattr(harness.dynamics, "step", failing_step)
         with pytest.raises(SimulationAborted) as err:
-            run(empty_scenario, params, cfg)
+            run(empty_scenario, params, cfg, controller=controller)
         assert len(err.value.log.rows) == 11
+        assert err.value.log.controller == controller
         assert "plant failure" in str(err.value.cause)
 
     def test_persistent_solver_failure_aborts(self, params, cfg,
@@ -104,27 +106,40 @@ class TestRunContracts:
             run(empty_scenario, params, cfg)
         assert "no finite cost" in str(err.value.cause)
 
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_refused_rebuild_drives_the_last_plan(self, params, cfg,
+                                                  dynamic_scenario,
+                                                  monkeypatch, controller):
+        path0 = build_lane_change_path(
+            dynamic_scenario, dynamic_scenario.ego_initial.vx, params)
+        refusals = []
+
+        def refuse(*args, **kwargs):
+            refusals.append(kwargs["at_time"])
+            raise PathConstructionError("forced for the test")
+
+        monkeypatch.setattr(harness, "build_lane_change_path", refuse)
+        stale = run(dynamic_scenario, params, cfg, controller=controller,
+                    path=path0)
+        monkeypatch.setattr(harness, "build_lane_change_path",
+                            lambda *args, **kwargs: path0)
+        reused = run(dynamic_scenario, params, cfg, controller=controller,
+                     path=path0)
+        assert len(refusals) == 150
+        assert len(stale.rows) == 151
+        assert stale == reused
+
 
 class TestBaseline:
     def test_completes_static_set(self, params, cfg, static_scenario):
-        log = run_baseline_two_level(static_scenario, params, cfg)
+        log = run(static_scenario, params, cfg, controller="two_level")
         ys = [r.state.Y for r in log.rows]
         assert max(ys) > 3.0
         assert abs(ys[-1]) < 0.6
         assert min(r.clearance for r in log.rows) > 0.0
 
-    def test_lookahead_changes_tracking(self, params, cfg, small_scenario):
-        path = build_lane_change_path(small_scenario, 10.0, params)
-        a = run_baseline_two_level(small_scenario, params, cfg,
-                                   lookahead=2.5)
-        b = run_baseline_two_level(small_scenario, params, cfg,
-                                   lookahead=5.0)
-        ma = compute_metrics(a, path, small_scenario, cfg)
-        mb = compute_metrics(b, path, small_scenario, cfg)
-        assert ma.rms_lateral_error != mb.rms_lateral_error
-
     def test_holds_speed(self, params, cfg, static_scenario):
-        log = run_baseline_two_level(static_scenario, params, cfg)
+        log = run(static_scenario, params, cfg, controller="two_level")
         assert log.rows[-1].state.vx == pytest.approx(10.0, abs=0.6)
 
 

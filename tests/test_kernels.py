@@ -4,7 +4,8 @@ import random
 import pytest
 
 from lanempc import kernels
-from lanempc.optimize import fd_gradient
+
+from fd_reference import fd_gradient
 
 TABLE = dict(m=2000.0, iz=1300.0, lf=1.2, lr=1.05, caf=12000.0, car=12000.0,
              rw=0.3)

@@ -9,8 +9,9 @@ from lanempc.dynamics import LowSpeedError, VehicleState, state_derivative, Cont
 from lanempc.mpc import (BoundarySamples, MpcConfig, PredictedTrajectory,
                          boundary_samples, cost, predict, shift_warm_start,
                          solve_step, zero_sequence)
-from lanempc.optimize import fd_gradient
 from lanempc.scenario import Obstacle, Road, Scenario
+
+from fd_reference import fd_gradient
 
 
 def S(vx=10.0, vy=0.0, r=0.0, X=0.0, Y=0.0, psi=0.0):

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from lanempc.optimize import BoxResult, fd_gradient, minimize_box
+from lanempc.optimize import BoxResult, minimize_box
+
+from fd_reference import fd_gradient
 
 
 def quadratic(centre):

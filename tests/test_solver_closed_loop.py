@@ -12,6 +12,9 @@ from lanempc.harness import run
 from lanempc.scenario import dynamic_three_vehicle, static_three_vehicle
 
 SCENARIOS = {"static": static_three_vehicle, "dynamic": dynamic_three_vehicle}
+# Mean kernel evaluations per control step: the measured 13.35 (static) and
+# 17.45 (dynamic) plus a small margin.
+MAX_MEAN_EVAL = {"static": 14.0, "dynamic": 18.5}
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,8 @@ def test_solver_effort_bounds(solves, name):
     results = [res for _, _, res in solves[name]]
     mean_eval = sum(r.n_eval for r in results) / len(results)
     converged = sum(r.converged for r in results) / len(results)
-    assert mean_eval <= 30, f"{mean_eval:.1f} evaluations per step"
+    assert mean_eval <= MAX_MEAN_EVAL[name], (
+        f"{mean_eval:.2f} evaluations per step")
     assert converged >= 0.99, f"converged on {converged:.3f} of steps"
     assert not any(r.fallback for r in results)
 
