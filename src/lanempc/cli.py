@@ -119,19 +119,6 @@ def write_trajectory_csv(path, log):
     _write_csv(path, TRAJECTORY_COLUMNS, rows)
 
 
-def read_trajectory_csv(path):
-    """Inverse of write_trajectory_csv; returns a list of dicts."""
-    with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-        out = []
-        for line in fh:
-            cells = line.strip().split(",")
-            row = {k: float(v) for k, v in zip(header, cells)}
-            row["converged"] = bool(int(cells[header.index("converged")]))
-            out.append(row)
-    return out
-
-
 def write_metrics_csv(path, metrics):
     values = tuple(_fmt(getattr(metrics, name)) for name in METRIC_COLUMNS)
     _write_csv(path, METRIC_COLUMNS, [values])

@@ -259,8 +259,7 @@ def _catch_time(obstacle, ego_x, ego_vx, t_now, offset=0.0):
 
 
 def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
-                           ego_y=None, predict_vx=None,
-                           corner_margin=DEFAULT_CORNER_MARGIN):
+                           ego_y=None, predict_vx=None):
     """Construct the avoidance reference path for a scenario.
 
     vx sets the arc radius (max-lateral-acceleration circle); predict_vx
@@ -320,8 +319,8 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
     frozen = []
     for ob in scenario.obstacles:
         if ob.is_moving:
-            hx = 0.5 * ob.length + ob.safety_gap + corner_margin
-            hy = 0.5 * ob.width + ob.safety_gap + corner_margin
+            hx = 0.5 * ob.length + ob.safety_gap + DEFAULT_CORNER_MARGIN
+            hy = 0.5 * ob.width + ob.safety_gap + DEFAULT_CORNER_MARGIN
             t_lead = _catch_time(ob, ex, pvx, at_time, offset=-hx)
             if t_lead is None:
                 continue  # never reached; cannot obstruct the ego
@@ -333,7 +332,8 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
             x_trail, _, _ = obstacle_pose_at(ob, t_trail)
             rect = Rect(x_lead - hx, y_c - hy, x_trail + hx, y_c + hy)
         else:
-            rect = obstacle_boundary_at(ob, at_time).inflated(corner_margin)
+            rect = obstacle_boundary_at(ob, at_time).inflated(
+                DEFAULT_CORNER_MARGIN)
         if rect.xmax < max(x_start, ex):
             continue  # strictly behind the ego; cannot constrain what is ahead
         covers_home = rect.ymin <= y_home <= rect.ymax

@@ -17,7 +17,8 @@ from . import dynamics, kernels
 from .dubins import (PathConstructionError, build_lane_change_path,
                      nearest_arclength, reference_for_horizon,
                      sample_reference)
-from .mpc import flatten_pairs, shift_warm_start, solve_step, zero_sequence
+from .mpc import (horizon_objective, shift_warm_start, solve_step,
+                  zero_sequence)
 from .scenario import min_obstacle_clearance
 
 # Consecutive non-finite solves tolerated before a run aborts.
@@ -57,10 +58,6 @@ class SimulationLog:
     rows: tuple
     dt: float
     controller: str
-
-    @property
-    def duration(self):
-        return self.rows[-1].t if self.rows else 0.0
 
 
 @dataclass(frozen=True)
@@ -178,13 +175,9 @@ def _two_level(scenario, params, cfg):
         torque = _SPEED_GAIN * (vx_ref - state.vx)
         torque = min(cfg.Td_max, max(-cfg.Tb_max, torque))
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-        cost = kernels.active().horizon_cost(
-            state.vx, state.vy, state.r, state.X, state.Y, state.psi,
-            [delta, torque] * cfg.Np, params.m, params.Iz, params.lf,
-            params.lr, params.Caf, params.Car, params.Rw, cfg.dt,
-            cfg.yaw_div_m, tuple(flatten_pairs(refs)),
-            scenario.road.upper_boundary_y, scenario.road.lower_boundary_y,
-            cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code, (), 0.0)
+        horizon_cost = horizon_objective(kernels.active().horizon_cost,
+                                         state, scenario, refs, params, cfg, t)
+        cost = horizon_cost([delta, torque] * cfg.Np)
         return (delta, torque), cost, refs[0], True
 
     return control

@@ -20,10 +20,6 @@ from .scenario import obstacle_pose_at
 
 _DIFF_CODES = {"backward": 0, "forward": 1, "centered": 2}
 
-# A control sequence is a tuple of (delta_f, Tr) pairs, one per horizon step;
-# every helper here accepts any sequence of such pairs.
-ControlSequence = tuple
-
 
 @dataclass(frozen=True)
 class MpcConfig:
@@ -175,6 +171,27 @@ def cost(traj, refs, bounds, cfg, obstacle_points=()):
         flatten_pairs(obstacle_points), cfg.obstacle_weight)
 
 
+def horizon_objective(kernel, state, scenario, refs, params, cfg,
+                      at_time=0.0):
+    """``kernel`` (``horizon_cost`` or a derivative variant) bound to one
+    step's problem: the state, refs, road boundaries, cfg's weights and,
+    when cfg.obstacle_weight is set, the obstacle poses at at_time.
+    Returns a function of the flat control sequence."""
+    road = scenario.road
+    obs_points = ()
+    if cfg.obstacle_weight != 0.0:
+        obs_points = [obstacle_pose_at(ob, at_time)
+                      for ob in scenario.obstacles]
+    sx = (state.vx, state.vy, state.r, state.X, state.Y, state.psi)
+    args = (params.m, params.Iz, params.lf, params.lr, params.Caf,
+            params.Car, params.Rw, cfg.dt, cfg.yaw_div_m,
+            tuple(flatten_pairs(refs)),
+            road.upper_boundary_y, road.lower_boundary_y,
+            cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,
+            tuple(flatten_pairs(obs_points)), cfg.obstacle_weight)
+    return lambda z: kernel(*sx, z, *args)
+
+
 def shift_warm_start(seq):
     """Receding-horizon warm start: drop the applied step, repeat the last."""
     return tuple(seq[1:]) + (seq[-1],)
@@ -192,31 +209,13 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
     never scores worse than either.  When no start yields a finite cost the
     warm start is returned clipped to the box with fallback=True.
     """
-    road = scenario.road
     refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-    obs_points = ()
-    if cfg.obstacle_weight != 0.0:
-        obs_points = [obstacle_pose_at(ob, at_time)
-                      for ob in scenario.obstacles]
-
     backend = kernels.active()
-    hcg = backend.horizon_cost_grad
-    hgn = backend.horizon_cost_gn
-    args = (params.m, params.Iz, params.lf, params.lr, params.Caf,
-            params.Car, params.Rw, cfg.dt, cfg.yaw_div_m,
-            tuple(flatten_pairs(refs)),
-            road.upper_boundary_y, road.lower_boundary_y,
-            cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,
-            tuple(flatten_pairs(obs_points)), cfg.obstacle_weight)
-    sx = (state.vx, state.vy, state.r, state.X, state.Y, state.psi)
-
-    def objective(z):
-        # (J, dJ/dz) of a flat control sequence z
-        return hcg(*sx, z, *args)
-
-    def curvature(z):
-        # (J, dJ/dz, Gauss-Newton d2J/dz2): seeds the solver at a start
-        return hgn(*sx, z, *args)
+    # (J, dJ/dz), and (J, dJ/dz, Gauss-Newton d2J/dz2) to seed each start
+    objective = horizon_objective(backend.horizon_cost_grad, state, scenario,
+                                  refs, params, cfg, at_time)
+    curvature = horizon_objective(backend.horizon_cost_gn, state, scenario,
+                                  refs, params, cfg, at_time)
 
     lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
     upper = [cfg.delta_max, cfg.Td_max] * cfg.Np

@@ -46,11 +46,6 @@ class Rect:
     xmax: float
     ymax: float
 
-    @property
-    def corners(self):
-        return ((self.xmin, self.ymin), (self.xmax, self.ymin),
-                (self.xmax, self.ymax), (self.xmin, self.ymax))
-
     def inflated(self, margin):
         return Rect(self.xmin - margin, self.ymin - margin,
                     self.xmax + margin, self.ymax + margin)
@@ -161,69 +156,6 @@ def min_obstacle_clearance(ego_xy, t, scenario):
         if d < best:
             best = d
     return best
-
-
-# -- shipped scenarios -------------------------------------------------------
-#
-# Obstacle placements are chosen so the double avoidance manoeuvre (out,
-# back, out again, back) is geometrically feasible with ~0.5 m of corner
-# slack at the nominal 10 m/s entry speed; they are configuration, not
-# physics, and scenario files may override everything.
-
-_EGO_10MS = VehicleState(vx=10.0, vy=0.0, r=0.0, X=0.0, Y=0.0, psi=0.0)
-
-
-def two_lane_road():
-    """3.5 m lanes, ego lane centred on y=0, second lane centred on y=3.5."""
-    return Road(lane_width=3.5, n_lanes=2, lower_boundary_y=-1.75)
-
-
-def static_three_vehicle(duration=14.0):
-    """Three parked vehicles: two in the ego lane, one in the passing lane."""
-    return Scenario(
-        road=two_lane_road(),
-        obstacles=(
-            Obstacle(x0=40.0, y0=0.0),
-            Obstacle(x0=70.0, y0=3.5),
-            Obstacle(x0=85.0, y0=0.0),
-        ),
-        ego_initial=_EGO_10MS,
-        duration=duration,
-    )
-
-
-def dynamic_three_vehicle(duration=15.0):
-    """Same lanes, but the vehicles pull away toward highway speeds.
-
-    Initial speeds are low enough that the ego (10 m/s) still overtakes each
-    one mid-ramp; the targets are reached only after the ego has passed.
-    """
-    return Scenario(
-        road=two_lane_road(),
-        obstacles=(
-            Obstacle(x0=25.0, y0=0.0, initial_speed=3.0, target_speed=10.5,
-                     acceleration=0.25),
-            Obstacle(x0=43.0, y0=3.5, initial_speed=2.0, target_speed=12.0,
-                     acceleration=0.25),
-            Obstacle(x0=53.5, y0=0.0, initial_speed=2.0, target_speed=11.5,
-                     acceleration=0.25),
-        ),
-        ego_initial=_EGO_10MS,
-        duration=duration,
-    )
-
-
-def empty_road(duration=6.0):
-    """No obstacles; the reference degenerates to the lane centreline."""
-    return Scenario(road=two_lane_road(), obstacles=(),
-                    ego_initial=_EGO_10MS, duration=duration)
-
-
-def single_obstacle(duration=8.0):
-    """One parked vehicle in the ego lane; the smallest interesting case."""
-    return Scenario(road=two_lane_road(),
-                    obstacles=(Obstacle(x0=40.0, y0=0.0),),
-                    ego_initial=_EGO_10MS, duration=duration)
 
 
 # -- config-document schema --------------------------------------------------

@@ -1,8 +1,8 @@
 import pytest
 
 from lanempc import MpcConfig, VehicleParams
-from lanempc.scenario import (dynamic_three_vehicle, empty_road,
-                              single_obstacle, static_three_vehicle)
+
+from shipped import load_scenario
 
 
 @pytest.fixture(scope="session")
@@ -17,19 +17,19 @@ def cfg():
 
 @pytest.fixture(scope="session")
 def static_scenario():
-    return static_three_vehicle()
+    return load_scenario("static_three_vehicle")
 
 
 @pytest.fixture(scope="session")
 def dynamic_scenario():
-    return dynamic_three_vehicle()
+    return load_scenario("dynamic_three_vehicle")
 
 
 @pytest.fixture(scope="session")
 def empty_scenario():
-    return empty_road()
+    return load_scenario("empty_road")
 
 
 @pytest.fixture(scope="session")
 def small_scenario():
-    return single_obstacle()
+    return load_scenario("single_obstacle")

@@ -13,15 +13,14 @@ from lanempc.dubins import (build_lane_change_path, min_turn_radius,
                             reference_for_horizon, sample_reference)
 from lanempc.dynamics import ControlInput, VehicleParams, VehicleState, step
 from lanempc.harness import compute_metrics, run
-from lanempc.mpc import (MpcConfig, boundary_samples, cost, predict,
-                         solve_step, zero_sequence)
+from lanempc.mpc import (MpcConfig, boundary_samples, cost,
+                         horizon_objective, predict, solve_step,
+                         zero_sequence)
 from lanempc.scenario import (Obstacle, Road, Scenario, obstacle_boundary_at,
-                              rect_signed_distance, dynamic_three_vehicle,
-                              static_three_vehicle)
+                              rect_signed_distance)
 
 from fd_reference import fd_gradient
-
-SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+from shipped import SCENARIO_DIR, load_scenario
 
 
 def _report(number, label, ok, detail=""):
@@ -43,7 +42,7 @@ def default_cfg():
 
 @pytest.fixture(scope="module")
 def static_runs(table_params, default_cfg):
-    sc = static_three_vehicle()
+    sc = load_scenario("static_three_vehicle")
     t0 = time.monotonic()
     log = run(sc, table_params, default_cfg)
     elapsed = time.monotonic() - t0
@@ -54,7 +53,7 @@ def static_runs(table_params, default_cfg):
 
 @pytest.fixture(scope="module")
 def dynamic_runs(table_params, default_cfg):
-    sc = dynamic_three_vehicle()
+    sc = load_scenario("dynamic_three_vehicle")
     t0 = time.monotonic()
     log = run(sc, table_params, default_cfg)
     elapsed = time.monotonic() - t0
@@ -101,7 +100,7 @@ def test_criterion_1_predictor_equation_fidelity(table_params):
 
 def test_criterion_2_path_geometry(table_params):
     t0 = time.monotonic()
-    sc = static_three_vehicle()
+    sc = load_scenario("static_three_vehicle")
     path = build_lane_change_path(sc, 10.0, table_params)
     R = min_turn_radius(10.0, table_params)
     ok = abs(R - 100.0 / (0.5 * 9.81)) < 1e-9 and round(R, 3) == 20.387
@@ -130,7 +129,7 @@ def test_criterion_2_path_geometry(table_params):
 def test_criterion_3_solver_grid_oracle(table_params):
     t0 = time.monotonic()
     cfg = MpcConfig(Np=1)
-    sc = static_three_vehicle()
+    sc = load_scenario("static_three_vehicle")
     path = build_lane_change_path(sc, 10.0, table_params)
     rng = random.Random(2024)
     worst_rel = 0.0
@@ -205,20 +204,12 @@ def test_criterion_6_smoothness_ordering(static_runs, dynamic_runs,
 def test_criterion_7_numerical_hygiene(table_params, default_cfg):
     cfg = default_cfg
     # (a) finite-difference gradient consistency at random in-box points
-    sc = static_three_vehicle()
+    sc = load_scenario("static_three_vehicle")
     path = build_lane_change_path(sc, 10.0, table_params)
     state = VehicleState(vx=10.0, X=30.0, Y=0.3, psi=0.02)
     refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-    refs_flat = tuple(v for p in refs for v in p)
-    hc = kernels.active().horizon_cost
-
-    def objective(z):
-        return hc(state.vx, state.vy, state.r, state.X, state.Y, state.psi,
-                  list(z), table_params.m, table_params.Iz, table_params.lf,
-                  table_params.lr, table_params.Caf, table_params.Car,
-                  table_params.Rw, cfg.dt, cfg.yaw_div_m, refs_flat,
-                  sc.road.upper_boundary_y, sc.road.lower_boundary_y,
-                  cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code, (), 0.0)
+    objective = horizon_objective(kernels.active().horizon_cost, state, sc,
+                                  refs, table_params, cfg)
 
     rng = random.Random(11)
     spans = [2 * cfg.delta_max, cfg.Td_max + cfg.Tb_max] * cfg.Np
@@ -252,7 +243,7 @@ def test_criterion_7_numerical_hygiene(table_params, default_cfg):
 
     # (c) mirrored closed-loop run is the exactly Y-negated trajectory,
     # under both controllers
-    sc2 = static_three_vehicle()
+    sc2 = load_scenario("static_three_vehicle")
     mirrored = Scenario(
         road=Road(lane_width=3.5, n_lanes=2, lower_boundary_y=-5.25),
         obstacles=tuple(Obstacle(x0=o.x0, y0=-o.y0) for o in sc2.obstacles),

@@ -12,6 +12,19 @@ SMALL = os.path.join(SCENARIO_DIR, "single_obstacle.json")
 EMPTY = os.path.join(SCENARIO_DIR, "empty_road.json")
 
 
+def read_trajectory_csv(path):
+    """Inverse of cli.write_trajectory_csv; returns a list of dicts."""
+    with open(path, newline="") as fh:
+        header = fh.readline().strip().split(",")
+        out = []
+        for line in fh:
+            cells = line.strip().split(",")
+            row = {k: float(v) for k, v in zip(header, cells)}
+            row["converged"] = bool(int(cells[header.index("converged")]))
+            out.append(row)
+    return out
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["run", "--help"]) == 0
 
@@ -100,7 +113,7 @@ def test_full_run_outputs_and_roundtrip(tmp_path, params, cfg):
     with open(SMALL) as fh:
         sc = lanempc.scenario_from_dict(json.load(fh))
     log = lanempc.run(sc, params, cfg)
-    rows = cli.read_trajectory_csv(tmp_path / "trajectory_integrated.csv")
+    rows = read_trajectory_csv(tmp_path / "trajectory_integrated.csv")
     assert len(rows) == len(log.rows)
     for got, want in zip(rows, log.rows):
         assert got["t"] == want.t

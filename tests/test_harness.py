@@ -3,11 +3,13 @@ import math
 import pytest
 
 from lanempc import harness
-from lanempc.dubins import PathConstructionError, build_lane_change_path
+from lanempc.dubins import (PathConstructionError, build_lane_change_path,
+                            reference_for_horizon)
 from lanempc.dynamics import VehicleState
 from lanempc.harness import (LogRow, Metrics, SimulationAborted,
                              SimulationLog, compute_metrics, run)
-from lanempc.scenario import Obstacle, Road, Scenario
+from lanempc.mpc import MpcConfig, boundary_samples, cost, predict
+from lanempc.scenario import Obstacle, Road, Scenario, obstacle_pose_at
 
 
 class TestRunEmptyRoad:
@@ -141,6 +143,22 @@ class TestBaseline:
     def test_holds_speed(self, params, cfg, static_scenario):
         log = run(static_scenario, params, cfg, controller="two_level")
         assert log.rows[-1].state.vx == pytest.approx(10.0, abs=0.6)
+
+    def test_logged_cost_is_the_integrated_cost(self, params,
+                                                small_scenario):
+        # With obstacle terms on, each logged J is what the integrated cost
+        # scores for the applied control held over the horizon.
+        sc = small_scenario
+        cfg = MpcConfig(obstacle_weight=0.5)
+        log = run(sc, params, cfg, controller="two_level")
+        path = build_lane_change_path(sc, sc.ego_initial.vx, params)
+        for row in log.rows:
+            traj = predict(row.state, (row.control,) * cfg.Np, params, cfg)
+            refs = reference_for_horizon(path, row.state, cfg.Np, cfg.dt)
+            want = cost(traj, refs, boundary_samples(sc.road, traj), cfg,
+                        obstacle_points=[obstacle_pose_at(ob, row.t)
+                                         for ob in sc.obstacles])
+            assert row.cost == pytest.approx(want, rel=1e-12, abs=0.0), row.t
 
 
 def _synthetic_log(points, rs=None, clearances=None, dt=0.1):

@@ -7,8 +7,8 @@ from lanempc import kernels
 from lanempc.dubins import build_lane_change_path, reference_for_horizon
 from lanempc.dynamics import LowSpeedError, VehicleState, state_derivative, ControlInput
 from lanempc.mpc import (BoundarySamples, MpcConfig, PredictedTrajectory,
-                         boundary_samples, cost, predict, shift_warm_start,
-                         solve_step, zero_sequence)
+                         boundary_samples, cost, horizon_objective, predict,
+                         shift_warm_start, solve_step, zero_sequence)
 from lanempc.scenario import Obstacle, Road, Scenario
 
 from fd_reference import fd_gradient
@@ -309,16 +309,8 @@ class TestSolveStep:
         path = build_lane_change_path(sc, 10.0, params)
         state = S(X=30.0, Y=0.3, psi=0.02)
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-        refs_flat = tuple(v for p in refs for v in p)
-        hc = kernels.active().horizon_cost
-
-        def objective(z):
-            return hc(state.vx, state.vy, state.r, state.X, state.Y,
-                      state.psi, list(z), params.m, params.Iz, params.lf,
-                      params.lr, params.Caf, params.Car, params.Rw, cfg.dt,
-                      cfg.yaw_div_m, refs_flat, sc.road.upper_boundary_y,
-                      sc.road.lower_boundary_y, cfg.a1, cfg.b1, cfg.b2,
-                      cfg.b3, cfg.diff_code, (), 0.0)
+        objective = horizon_objective(kernels.active().horizon_cost, state,
+                                      sc, refs, params, cfg)
 
         rng = random.Random(9)
         spans = [2 * cfg.delta_max, cfg.Td_max + cfg.Tb_max] * cfg.Np

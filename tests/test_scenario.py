@@ -1,6 +1,4 @@
-import json
 import math
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +6,9 @@ from hypothesis import strategies as st
 
 from lanempc.dynamics import VehicleState
 from lanempc.scenario import (Obstacle, Road, Scenario, ScenarioSchemaError,
-                              dynamic_three_vehicle, min_obstacle_clearance,
-                              obstacle_boundary_at, obstacle_pose_at,
-                              rect_signed_distance, scenario_from_dict,
-                              static_three_vehicle)
-
-SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+                              min_obstacle_clearance, obstacle_boundary_at,
+                              obstacle_pose_at, rect_signed_distance,
+                              scenario_from_dict)
 
 
 class TestRoad:
@@ -200,11 +195,3 @@ class TestSchema:
         doc = {"road": {"upper_boundary_y": 9.0}, "ego": {}, "duration": 5.0}
         with pytest.raises(ScenarioSchemaError, match="upper_boundary_y"):
             scenario_from_dict(doc)
-
-    def test_shipped_files_match_builders(self):
-        pairs = (("static_three_vehicle.json", static_three_vehicle()),
-                 ("dynamic_three_vehicle.json", dynamic_three_vehicle()))
-        for fname, built in pairs:
-            with open(os.path.join(SCENARIO_DIR, fname)) as fh:
-                loaded = scenario_from_dict(json.load(fh))
-            assert loaded == built

@@ -9,9 +9,12 @@ import pytest
 from lanempc import harness, kernels
 from lanempc.dubins import reference_for_horizon
 from lanempc.harness import run
-from lanempc.scenario import dynamic_three_vehicle, static_three_vehicle
+from lanempc.mpc import horizon_objective
 
-SCENARIOS = {"static": static_three_vehicle, "dynamic": dynamic_three_vehicle}
+from shipped import load_scenario
+
+SCENARIOS = {"static": "static_three_vehicle",
+             "dynamic": "dynamic_three_vehicle"}
 # Mean kernel evaluations per control step: the measured 13.35 (static) and
 # 17.45 (dynamic) plus a small margin.
 MAX_MEAN_EVAL = {"static": 14.0, "dynamic": 18.5}
@@ -22,7 +25,7 @@ def solves(params, cfg):
     """Every solve_step call of the two shipped runs: (arguments, result)."""
     recorded = {}
     original = harness.solve_step
-    for name, make in SCENARIOS.items():
+    for name, scenario_name in SCENARIOS.items():
         calls = recorded[name] = []
 
         def recording(*args, **kwargs):
@@ -32,7 +35,7 @@ def solves(params, cfg):
 
         harness.solve_step = recording
         try:
-            run(make(), params, cfg)
+            run(load_scenario(scenario_name), params, cfg)
         finally:
             harness.solve_step = original
     return recorded
@@ -49,20 +52,12 @@ def test_solver_effort_bounds(solves, name):
     assert not any(r.fallback for r in results)
 
 
-def _objective(args):
+def _objective(args, kwargs):
     state, scenario, path, params, cfg, _ = args
-    # Obstacle terms are off by default, so at_time plays no part.
-    assert cfg.obstacle_weight == 0.0
     refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-    road = scenario.road
-    rest = (params.m, params.Iz, params.lf, params.lr, params.Caf,
-            params.Car, params.Rw, cfg.dt, cfg.yaw_div_m,
-            tuple(v for p in refs for v in p), road.upper_boundary_y,
-            road.lower_boundary_y, cfg.a1, cfg.b1, cfg.b2, cfg.b3,
-            cfg.diff_code, (), 0.0)
-    sx = (state.vx, state.vy, state.r, state.X, state.Y, state.psi)
-    hcg = kernels.active().horizon_cost_grad
-    return lambda z: hcg(*sx, list(z), *rest)
+    fg = horizon_objective(kernels.active().horizon_cost_grad, state,
+                           scenario, refs, params, cfg, kwargs["at_time"])
+    return lambda z: fg(list(z))
 
 
 def test_no_worse_than_lbfgsb(solves):
@@ -70,9 +65,9 @@ def test_no_worse_than_lbfgsb(solves):
     optimize = pytest.importorskip("scipy.optimize")
     worst = 0.0
     for name in sorted(SCENARIOS):
-        for args, _, res in solves[name]:
+        for args, kwargs, res in solves[name]:
             cfg, warm = args[4], args[5]
-            fg = _objective(args)
+            fg = _objective(args, kwargs)
             lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
             upper = [cfg.delta_max, cfg.Td_max] * cfg.Np
             warm_flat = [v for pair in warm for v in pair]
