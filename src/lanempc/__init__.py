@@ -15,8 +15,8 @@ from .dubins import (PathConstructionError, PathSegment, ReferencePath,
                      sample_reference)
 from .harness import (Metrics, SimulationAborted, SimulationLog,
                       compute_metrics, run)
-from .mpc import (BoundarySamples, MpcConfig, PredictedTrajectory,
-                  SolveResult, boundary_samples, cost, predict, solve_step)
+from .mpc import (MpcConfig, PredictedTrajectory, SolveResult, cost,
+                  predict, solve_step)
 from .optimize import BoxResult, minimize_box
 from .scenario import (Obstacle, Rect, Road, Scenario,
                        min_obstacle_clearance, obstacle_boundary_at,
@@ -25,12 +25,11 @@ from .scenario import (Obstacle, Rect, Road, Scenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySamples", "BoxResult", "ControlInput", "LowSpeedError",
-    "Metrics", "MpcConfig", "Obstacle", "PathConstructionError",
-    "PathSegment", "PlantFailureError", "PredictedTrajectory", "Rect",
-    "ReferencePath", "Road", "Scenario", "SimulationAborted",
-    "SimulationLog", "SolveResult", "VehicleParams", "VehicleState",
-    "boundary_samples", "build_lane_change_path", "compute_metrics", "cost",
+    "BoxResult", "ControlInput", "LowSpeedError", "Metrics", "MpcConfig",
+    "Obstacle", "PathConstructionError", "PathSegment", "PlantFailureError",
+    "PredictedTrajectory", "Rect", "ReferencePath", "Road", "Scenario",
+    "SimulationAborted", "SimulationLog", "SolveResult", "VehicleParams",
+    "VehicleState", "build_lane_change_path", "compute_metrics", "cost",
     "lateral_tire_forces", "min_obstacle_clearance", "min_turn_radius",
     "minimize_box", "nearest_arclength", "obstacle_boundary_at",
     "obstacle_pose_at", "predict", "reference_for_horizon", "run",

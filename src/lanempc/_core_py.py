@@ -98,14 +98,15 @@ def predict_steps(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car,
             vxgs, vygs)
 
 
-def trajectory_cost(xa, ya, rs, r0, dt, refs, xu, yu, xl, yl,
+def trajectory_cost(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
                     a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
     """Potential-field cost of a predicted trajectory.
 
     Sums, over the horizon: an attractive quadratic pull toward the reference
-    points, reciprocal-quartic repulsion from the upper and lower boundary
-    sample points, optional reciprocal-quartic repulsion from obstacle centre
-    points, and a squared yaw-acceleration smoothness term.
+    points, reciprocal-quartic repulsion from the road's upper and lower
+    boundary lines ``y = y_upper`` and ``y = y_lower`` (a function of the
+    lateral gap alone), optional reciprocal-quartic repulsion from obstacle
+    centre points, and a squared yaw-acceleration smoothness term.
 
     ``refs`` and ``obs_pts`` are flat [x0, y0, x1, y1, ...]; ``r0`` is the
     measured yaw rate the prediction started from; ``diff_mode`` selects the
@@ -114,7 +115,7 @@ def trajectory_cost(xa, ya, rs, r0, dt, refs, xu, yu, xl, yl,
     or obstacle centre yields +inf (sentinel, not an exception) whenever the
     corresponding weight is nonzero.
     """
-    parts = _cost_partials(xa, ya, rs, r0, dt, refs, xu, yu, xl, yl,
+    parts = _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
                            a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
     return INF if parts is None else parts[0]
 
@@ -124,20 +125,16 @@ def horizon_cost(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car,
                  a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
     """Fused predict + cost for a flat control sequence (the solver hot path).
 
-    Boundary sample points are taken abreast of each predicted position
-    (same x, boundary y), so the squared boundary distance reduces to the
-    lateral gap squared.  Returns +inf instead of raising when the predicted
-    speed chain falls below VX_FLOOR.
+    Returns +inf instead of raising when the predicted speed chain falls
+    below VX_FLOOR.
     """
     try:
         xa, ya, rs, _ = _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf,
                                lr, caf, car, rw, dt, yaw_div_m)
     except ValueError:
         return INF
-    n = len(xa)
-    return trajectory_cost(xa, ya, rs, r, dt, refs, xa, (y_upper,) * n,
-                           xa, (y_lower,) * n, a1, b1, b2, b3, diff_mode,
-                           obs_pts, obs_weight)
+    return trajectory_cost(xa, ya, rs, r, dt, refs, y_upper, y_lower,
+                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
 
 
 def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
@@ -156,9 +153,8 @@ def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
     except ValueError:
         return INF, None
     n = len(xa)
-    parts = _cost_partials(xa, ya, rs, r, dt, refs, xa, (y_upper,) * n,
-                           xa, (y_lower,) * n, a1, b1, b2, b3, diff_mode,
-                           obs_pts, obs_weight)
+    parts = _cost_partials(xa, ya, rs, r, dt, refs, y_upper, y_lower,
+                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
     if parts is None:
         return INF, None
     j, jx, jy, jr = parts
@@ -221,9 +217,8 @@ def horizon_cost_gn(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
     xa, ya, rs, jac_x, jac_y, jac_r = pred
     n = len(xa)
     nc = 2 * n
-    parts = _cost_partials(xa, ya, rs, r, dt, refs, xa, (y_upper,) * n,
-                           xa, (y_lower,) * n, a1, b1, b2, b3, diff_mode,
-                           obs_pts, obs_weight)
+    parts = _cost_partials(xa, ya, rs, r, dt, refs, y_upper, y_lower,
+                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
     if parts is None:
         return INF, None, None
     j, jx, jy, jr = parts
@@ -340,14 +335,11 @@ def predict_jacobians(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
     return xa, ya, rs, jac_x, jac_y, jac_r
 
 
-def _cost_partials(xa, ya, rs, r0, dt, refs, xu, yu, xl, yl,
+def _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
                    a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
     """``trajectory_cost`` with its partials in each predicted x, y and yaw
-    rate: ``(cost, jx, jy, jr)``, or None where the cost is +inf.
-
-    The partials take the boundary samples as abreast of the predicted
-    points (``xu`` and ``xl`` are ``xa``, as the fused kernels pass them),
-    so the boundary terms have no x-partials.
+    rate: ``(cost, jx, jy, jr)``, or None where the cost is +inf.  The
+    boundary terms depend on y alone, so they have no x-partials.
     """
     n = len(xa)
     n_obs = len(obs_pts) // 2
@@ -367,9 +359,8 @@ def _cost_partials(xa, ya, rs, r0, dt, refs, xu, yu, xl, yl,
         tu = 0.0
         su = 0.0
         if b1 != 0.0:
-            dx = xa[i] - xu[i]
-            dy = ya[i] - yu[i]
-            q = dx * dx + dy * dy
+            dy = ya[i] - y_upper
+            q = dy * dy
             if q == 0.0:
                 return None
             t = 1.0 / q
@@ -378,9 +369,8 @@ def _cost_partials(xa, ya, rs, r0, dt, refs, xu, yu, xl, yl,
         tl = 0.0
         sl = 0.0
         if b2 != 0.0:
-            dx = xa[i] - xl[i]
-            dy = ya[i] - yl[i]
-            q = dx * dx + dy * dy
+            dy = ya[i] - y_lower
+            q = dy * dy
             if q == 0.0:
                 return None
             t = 1.0 / q

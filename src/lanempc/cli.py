@@ -208,7 +208,7 @@ def main(argv=None):
             return 3
         write_trajectory_csv(
             os.path.join(args.out, f"trajectory_{name}.csv"), log)
-        metrics = harness.compute_metrics(log, path, scenario, cfg)
+        metrics = harness.compute_metrics(log, path, cfg)
         write_metrics_csv(
             os.path.join(args.out, f"metrics_{name}.csv"), metrics)
         print(_summary_line(name, metrics))

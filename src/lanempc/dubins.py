@@ -79,8 +79,8 @@ class ReferencePath:
     total_length: float
     offsets: tuple  # cumulative arclength at each segment start
     # Speed the geometry was designed for; horizon references advance at
-    # this pace (0.0 = advance at the ego's current speed instead).
-    design_speed: float = 0.0
+    # this pace.
+    design_speed: float
 
     def waypoint_labels(self):
         return tuple(f"P{i}" for i in range(len(self.waypoints)))
@@ -165,14 +165,13 @@ def reference_for_horizon(path, ego, n_steps, dt):
 
     For i = 1..n_steps the point at (nearest arclength) + i * dt * v,
     clamped to the path end, where v is the path's design speed (the
-    timetable pace the geometry was planned at) or the ego's current speed
-    for paths that carry none.  Returns a tuple of (x, y) pairs.
+    timetable pace the geometry was planned at).  Returns a tuple of (x, y)
+    pairs.
     """
-    v = path.design_speed if path.design_speed > 0.0 else ego.vx
     s0, _ = nearest_arclength(path, ego.X, ego.Y)
     out = []
     for i in range(1, n_steps + 1):
-        s = s0 + i * dt * v
+        s = s0 + i * dt * path.design_speed
         if s > path.total_length:
             s = path.total_length
         x, y, _, _ = sample_reference(path, s)
@@ -278,10 +277,6 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
     radius-R arcs.
     """
     road = scenario.road
-    if road.n_lanes != 2:
-        raise PathConstructionError(
-            f"lane-change construction needs a 2-lane road, got "
-            f"{road.n_lanes}")
     if vx <= 0.0:
         raise PathConstructionError(f"need vx > 0, got {vx!r}")
 
@@ -298,8 +293,7 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
     from_x = ex - 1.0 if ego_x is not None else None
 
     # Home lane = nearest centreline to the ego's initial y.
-    home = min(range(road.n_lanes),
-               key=lambda i: abs(ego0.Y - road.centreline_y(i)))
+    home = min((0, 1), key=lambda i: abs(ego0.Y - road.centreline_y(i)))
     target = 1 - home
     y_home = road.centreline_y(home)
     y_target = road.centreline_y(target)

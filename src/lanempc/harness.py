@@ -188,7 +188,7 @@ def _two_level(scenario, params, cfg):
 _CONTROLLERS = {"integrated": _integrated, "two_level": _two_level}
 
 
-def compute_metrics(log, path, scenario, cfg):
+def compute_metrics(log, path, cfg):
     """Metrics over a completed log, lateral error measured to the nearest
     point on the given reference path."""
     if not log.rows:

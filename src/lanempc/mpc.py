@@ -106,16 +106,6 @@ class PredictedTrajectory:
 
 
 @dataclass(frozen=True)
-class BoundarySamples:
-    """Boundary points abreast of each predicted position."""
-
-    xu: tuple
-    yu: tuple
-    xl: tuple
-    yl: tuple
-
-
-@dataclass(frozen=True)
 class SolveResult:
     u0: tuple            # (delta_f, Tr) applied this step
     sequence: tuple      # ((delta_f, Tr), ...) over the horizon
@@ -149,24 +139,17 @@ def predict(state, seq, params, cfg):
     return PredictedTrajectory(*arrays, r0=state.r)
 
 
-def boundary_samples(road, traj):
-    """Upper/lower boundary points abreast of each predicted position."""
-    n = len(traj.xa)
-    return BoundarySamples(xu=traj.xa, yu=(road.upper_boundary_y,) * n,
-                           xl=traj.xa, yl=(road.lower_boundary_y,) * n)
-
-
-def cost(traj, refs, bounds, cfg, obstacle_points=()):
-    """Potential-field cost of a predicted trajectory.
+def cost(traj, refs, road, cfg, obstacle_points=()):
+    """Potential-field cost of a predicted trajectory on ``road``.
 
     refs is a sequence of (Xd, Yd) pairs, one per horizon step.  A predicted
-    point exactly on a boundary sample gives +inf (sentinel, not an
-    exception).  obstacle_points adds optional per-obstacle repulsion scored
-    with cfg.obstacle_weight.
+    point exactly on one of the road's boundary lines gives +inf (sentinel,
+    not an exception).  obstacle_points adds optional per-obstacle repulsion
+    scored with cfg.obstacle_weight.
     """
     return kernels.active().trajectory_cost(
         traj.xa, traj.ya, traj.r, traj.r0, cfg.dt, flatten_pairs(refs),
-        bounds.xu, bounds.yu, bounds.xl, bounds.yl,
+        road.upper_boundary_y, road.lower_boundary_y,
         cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,
         flatten_pairs(obstacle_points), cfg.obstacle_weight)
 

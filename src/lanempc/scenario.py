@@ -1,6 +1,6 @@
 """Road geometry, obstacle motion, and clearance queries.
 
-A scenario is a straight two-boundary road, a list of obstacles that keep
+A scenario is a straight two-lane road, a list of obstacles that keep
 their lane and follow a constant-acceleration ramp to a target speed, the
 ego's initial state, and a duration.  Everything is immutable after
 construction; all queries are pure.
@@ -14,26 +14,25 @@ from .dynamics import VehicleState
 
 @dataclass(frozen=True)
 class Road:
-    """Straight road of n_lanes equal lanes between two y boundaries."""
+    """Straight two-lane road: lanes 0 (lower) and 1 (upper), each
+    lane_width wide, between the boundary lines y = lower_boundary_y and
+    y = upper_boundary_y."""
 
     lane_width: float = 3.5
-    n_lanes: int = 2
     lower_boundary_y: float = -1.75
 
     def __post_init__(self):
         if self.lane_width <= 0:
             raise ValueError(f"lane_width must be > 0, got {self.lane_width!r}")
-        if self.n_lanes < 1:
-            raise ValueError(f"n_lanes must be >= 1, got {self.n_lanes!r}")
 
     @property
     def upper_boundary_y(self):
-        return self.lower_boundary_y + self.n_lanes * self.lane_width
+        return self.lower_boundary_y + 2 * self.lane_width
 
     def centreline_y(self, lane):
-        """Centreline y of lane index (0 = lowest)."""
-        if not 0 <= lane < self.n_lanes:
-            raise ValueError(f"lane {lane!r} outside 0..{self.n_lanes - 1}")
+        """Centreline y of lane 0 (lower) or 1 (upper)."""
+        if not 0 <= lane < 2:
+            raise ValueError(f"lane {lane!r} outside 0..1")
         return self.lower_boundary_y + (lane + 0.5) * self.lane_width
 
 
@@ -160,10 +159,15 @@ def min_obstacle_clearance(ego_xy, t, scenario):
 
 # -- config-document schema --------------------------------------------------
 
-_ROAD_KEYS = {"lane_width", "n_lanes", "lower_boundary_y", "upper_boundary_y"}
-_EGO_KEYS = {"x", "y", "psi", "vx", "vy", "r"}
-_OBSTACLE_KEYS = {"x", "y", "length", "width", "safety_gap",
-                  "initial_speed", "target_speed", "acceleration"}
+# Document key -> dataclass field, per section; keys a document leaves out
+# take the dataclass defaults.  The road's "n_lanes" and "upper_boundary_y"
+# restate what Road fixes or derives, so they are checked, not stored.
+_ROAD_FIELDS = {k: k for k in ("lane_width", "lower_boundary_y")}
+_EGO_FIELDS = {"x": "X", "y": "Y", "psi": "psi", "vx": "vx", "vy": "vy",
+               "r": "r"}
+_OBSTACLE_FIELDS = {"x": "x0", "y": "y0", **{k: k for k in (
+    "length", "width", "safety_gap", "initial_speed", "target_speed",
+    "acceleration")}}
 _TOP_KEYS = {"road", "ego", "obstacles", "duration"}
 
 
@@ -177,6 +181,13 @@ def _check_keys(mapping, allowed, where):
             raise ScenarioSchemaError(f"unknown key {key!r} in {where}")
 
 
+def _fields(mapping, table):
+    """Keyword arguments, as floats, for the fields that ``table`` maps the
+    keys present in ``mapping`` to."""
+    return {table[key]: float(value) for key, value in mapping.items()
+            if key in table}
+
+
 def scenario_from_dict(doc):
     """Build a Scenario from a parsed config document (see README schema)."""
     if not isinstance(doc, dict):
@@ -187,10 +198,13 @@ def scenario_from_dict(doc):
             raise ScenarioSchemaError(f"missing key {required!r} in scenario")
 
     road_doc = doc["road"]
-    _check_keys(road_doc, _ROAD_KEYS, "road")
-    road = Road(lane_width=float(road_doc.get("lane_width", 3.5)),
-                n_lanes=int(road_doc.get("n_lanes", 2)),
-                lower_boundary_y=float(road_doc.get("lower_boundary_y", -1.75)))
+    _check_keys(road_doc, {*_ROAD_FIELDS, "n_lanes", "upper_boundary_y"},
+                "road")
+    if road_doc.get("n_lanes", 2) != 2:
+        raise ScenarioSchemaError(
+            f"unsupported key 'n_lanes': {road_doc['n_lanes']!r}; a road "
+            f"has exactly 2 lanes")
+    road = Road(**_fields(road_doc, _ROAD_FIELDS))
     if "upper_boundary_y" in road_doc:
         stated = float(road_doc["upper_boundary_y"])
         if abs(stated - road.upper_boundary_y) > 1e-9:
@@ -199,31 +213,17 @@ def scenario_from_dict(doc):
                 f"lower + n_lanes * lane_width = {road.upper_boundary_y!r}")
 
     ego_doc = doc["ego"]
-    _check_keys(ego_doc, _EGO_KEYS, "ego")
-    ego = VehicleState(vx=float(ego_doc.get("vx", 10.0)),
-                       vy=float(ego_doc.get("vy", 0.0)),
-                       r=float(ego_doc.get("r", 0.0)),
-                       X=float(ego_doc.get("x", 0.0)),
-                       Y=float(ego_doc.get("y", 0.0)),
-                       psi=float(ego_doc.get("psi", 0.0)))
+    _check_keys(ego_doc, _EGO_FIELDS, "ego")
+    ego = VehicleState(**{"vx": 10.0, **_fields(ego_doc, _EGO_FIELDS)})
 
     obstacles = []
     for i, ob_doc in enumerate(doc.get("obstacles", [])):
-        _check_keys(ob_doc, _OBSTACLE_KEYS, f"obstacles[{i}]")
+        _check_keys(ob_doc, _OBSTACLE_FIELDS, f"obstacles[{i}]")
         for required in ("x", "y"):
             if required not in ob_doc:
                 raise ScenarioSchemaError(
                     f"missing key {required!r} in obstacles[{i}]")
-        obstacles.append(Obstacle(
-            x0=float(ob_doc["x"]),
-            y0=float(ob_doc["y"]),
-            length=float(ob_doc.get("length", 4.0)),
-            width=float(ob_doc.get("width", 1.8)),
-            safety_gap=float(ob_doc.get("safety_gap", 0.5)),
-            initial_speed=float(ob_doc.get("initial_speed", 0.0)),
-            target_speed=float(ob_doc.get("target_speed", 0.0)),
-            acceleration=float(ob_doc.get("acceleration", 0.0)),
-        ))
+        obstacles.append(Obstacle(**_fields(ob_doc, _OBSTACLE_FIELDS)))
 
     return Scenario(road=road, obstacles=tuple(obstacles), ego_initial=ego,
                     duration=float(doc["duration"]))

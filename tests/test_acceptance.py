@@ -13,9 +13,8 @@ from lanempc.dubins import (build_lane_change_path, min_turn_radius,
                             reference_for_horizon, sample_reference)
 from lanempc.dynamics import ControlInput, VehicleParams, VehicleState, step
 from lanempc.harness import compute_metrics, run
-from lanempc.mpc import (MpcConfig, boundary_samples, cost,
-                         horizon_objective, predict, solve_step,
-                         zero_sequence)
+from lanempc.mpc import (MpcConfig, cost, horizon_objective, predict,
+                         solve_step, zero_sequence)
 from lanempc.scenario import (Obstacle, Road, Scenario, obstacle_boundary_at,
                               rect_signed_distance)
 
@@ -149,7 +148,7 @@ def test_criterion_3_solver_grid_oracle(table_params):
             for j in range(201):
                 tq = -cfg.Tb_max + j * ((cfg.Td_max + cfg.Tb_max) / 200.0)
                 traj = predict(state, ((d, tq),), table_params, cfg)
-                val = cost(traj, refs, boundary_samples(sc.road, traj), cfg)
+                val = cost(traj, refs, sc.road, cfg)
                 if val < best:
                     best = val
         rel = (res.cost - best) / max(abs(best), 1e-30)
@@ -190,10 +189,10 @@ def test_criterion_6_smoothness_ordering(static_runs, dynamic_runs,
                                          table_params, default_cfg):
     details = []
     ok = True
-    for label, (sc, log, baseline, path, _) in (("static", static_runs),
-                                                ("dynamic", dynamic_runs)):
-        m = compute_metrics(log, path, sc, default_cfg)
-        mb = compute_metrics(baseline, path, sc, default_cfg)
+    for label, (_, log, baseline, path, _) in (("static", static_runs),
+                                               ("dynamic", dynamic_runs)):
+        m = compute_metrics(log, path, default_cfg)
+        mb = compute_metrics(baseline, path, default_cfg)
         ok &= m.yaw_smoothness < mb.yaw_smoothness
         details.append(f"{label}: {m.yaw_smoothness:.1f} < "
                        f"{mb.yaw_smoothness:.1f}")
@@ -245,7 +244,7 @@ def test_criterion_7_numerical_hygiene(table_params, default_cfg):
     # under both controllers
     sc2 = load_scenario("static_three_vehicle")
     mirrored = Scenario(
-        road=Road(lane_width=3.5, n_lanes=2, lower_boundary_y=-5.25),
+        road=Road(lane_width=3.5, lower_boundary_y=-5.25),
         obstacles=tuple(Obstacle(x0=o.x0, y0=-o.y0) for o in sc2.obstacles),
         ego_initial=VehicleState(vx=10.0), duration=sc2.duration)
     worst = 0.0

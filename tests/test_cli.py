@@ -2,10 +2,12 @@ import dataclasses
 import json
 import os
 
+import pytest
 
 from lanempc import cli
 from lanempc.dynamics import VehicleParams
 from lanempc.mpc import MpcConfig
+from lanempc.scenario import ScenarioSchemaError, scenario_from_dict
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SMALL = os.path.join(SCENARIO_DIR, "single_obstacle.json")
@@ -49,6 +51,17 @@ def test_schema_violation_names_key(tmp_path, capsys):
     p.write_text(json.dumps(doc))
     assert cli.main(["run", "--scenario", str(p)]) == 1
     assert "weather" in capsys.readouterr().err
+
+
+def test_road_other_than_two_lanes_is_a_schema_error(tmp_path, capsys):
+    # Refused when parsed (exit 1), not left for the planner (exit 3).
+    doc = {"road": {"n_lanes": 3}, "ego": {}, "duration": 5.0}
+    with pytest.raises(ScenarioSchemaError, match="'n_lanes'"):
+        scenario_from_dict(doc)
+    p = tmp_path / "three_lanes.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["run", "--scenario", str(p), "--out", str(tmp_path)]) == 1
+    assert "'n_lanes'" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):

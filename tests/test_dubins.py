@@ -96,7 +96,7 @@ class TestConstruction:
     def test_mirrored_scenario_mirrors_exactly(self, params, static_scenario):
         sc = static_scenario
         mirrored = Scenario(
-            road=Road(lane_width=3.5, n_lanes=2, lower_boundary_y=-5.25),
+            road=Road(lane_width=3.5, lower_boundary_y=-5.25),
             obstacles=tuple(Obstacle(x0=o.x0, y0=-o.y0) for o in sc.obstacles),
             ego_initial=VehicleState(vx=10.0),
             duration=sc.duration)

@@ -8,7 +8,7 @@ from lanempc.dubins import (PathConstructionError, build_lane_change_path,
 from lanempc.dynamics import VehicleState
 from lanempc.harness import (LogRow, Metrics, SimulationAborted,
                              SimulationLog, compute_metrics, run)
-from lanempc.mpc import MpcConfig, boundary_samples, cost, predict
+from lanempc.mpc import MpcConfig, cost, predict
 from lanempc.scenario import Obstacle, Road, Scenario, obstacle_pose_at
 
 
@@ -155,7 +155,7 @@ class TestBaseline:
         for row in log.rows:
             traj = predict(row.state, (row.control,) * cfg.Np, params, cfg)
             refs = reference_for_horizon(path, row.state, cfg.Np, cfg.dt)
-            want = cost(traj, refs, boundary_samples(sc.road, traj), cfg,
+            want = cost(traj, refs, sc.road, cfg,
                         obstacle_points=[obstacle_pose_at(ob, row.t)
                                          for ob in sc.obstacles])
             assert row.cost == pytest.approx(want, rel=1e-12, abs=0.0), row.t
@@ -177,7 +177,7 @@ class TestMetrics:
     def test_perfect_tracking_is_zero(self, params, cfg, empty_scenario):
         path = build_lane_change_path(empty_scenario, 10.0, params)
         log = _synthetic_log([(float(i), 0.0) for i in range(20)])
-        m = compute_metrics(log, path, empty_scenario, cfg)
+        m = compute_metrics(log, path, cfg)
         assert m.rms_lateral_error == pytest.approx(0.0, abs=1e-12)
         assert m.max_lateral_error == pytest.approx(0.0, abs=1e-12)
         assert m.yaw_smoothness == 0.0
@@ -187,7 +187,7 @@ class TestMetrics:
         path = build_lane_change_path(empty_scenario, 10.0, params)
         log = _synthetic_log([(float(i), 0.0) for i in range(20)],
                              rs=[0.4] * 20)
-        m = compute_metrics(log, path, empty_scenario, cfg)
+        m = compute_metrics(log, path, cfg)
         assert m.yaw_smoothness == 0.0
 
     def test_single_offset_sample_rms(self, params, cfg, empty_scenario):
@@ -196,7 +196,7 @@ class TestMetrics:
         pts = [(float(i), 0.0) for i in range(n)]
         pts[7] = (7.0, 0.5)
         log = _synthetic_log(pts)
-        m = compute_metrics(log, path, empty_scenario, cfg)
+        m = compute_metrics(log, path, cfg)
         assert m.rms_lateral_error == pytest.approx(0.5 / math.sqrt(n),
                                                     rel=1e-12)
         assert m.max_lateral_error == pytest.approx(0.5, rel=1e-12)
@@ -205,18 +205,17 @@ class TestMetrics:
         path = build_lane_change_path(empty_scenario, 10.0, params)
         log = _synthetic_log([(float(i), 0.0) for i in range(10)],
                              clearances=[3.0] * 9 + [0.25])
-        m = compute_metrics(log, path, empty_scenario, cfg)
+        m = compute_metrics(log, path, cfg)
         assert m.min_clearance == 0.25
         # a saturated control counts toward the fraction
         import dataclasses
         rows = list(log.rows)
         rows[3] = dataclasses.replace(rows[3], control=(cfg.delta_max, 0.0))
         log2 = SimulationLog(tuple(rows), log.dt, log.controller)
-        m2 = compute_metrics(log2, path, empty_scenario, cfg)
+        m2 = compute_metrics(log2, path, cfg)
         assert m2.control_saturation_fraction == pytest.approx(0.1)
 
     def test_empty_log_rejected(self, params, cfg, empty_scenario):
         path = build_lane_change_path(empty_scenario, 10.0, params)
         with pytest.raises(ValueError):
-            compute_metrics(SimulationLog((), 0.1, "integrated"), path,
-                            empty_scenario, cfg)
+            compute_metrics(SimulationLog((), 0.1, "integrated"), path, cfg)

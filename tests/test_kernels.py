@@ -97,8 +97,8 @@ class TestFusedMatchesComposition:
                 TABLE["lr"], TABLE["caf"], TABLE["car"], TABLE["rw"],
                 0.1, False)
             composed = mod.trajectory_cost(
-                xa, ya, rs, state[2], 0.1, refs, xa, (5.25,) * n,
-                xa, (-1.75,) * n, 1.0, 0.001, 0.001, 0.01, 1, (), 0.0)
+                xa, ya, rs, state[2], 0.1, refs, 5.25, -1.75,
+                1.0, 0.001, 0.001, 0.01, 1, (), 0.0)
             assert fused == composed
 
 
@@ -231,8 +231,7 @@ class TestGaussNewton:
                                           (rs, jac_r))]
                 return mod.trajectory_cost(
                     move[0], move[1], move[2], args[2], 0.1, refs,
-                    move[0], (y_upper,) * n, move[0], (y_lower,) * n,
-                    a1, b1, b2, b3, diff, (), 0.0)
+                    y_upper, y_lower, a1, b1, b2, b3, diff, (), 0.0)
 
             for _ in range(3):
                 v = [rng.gauss(0.0, 1.0) * _SPANS[k % 2] * 1e-3
@@ -315,7 +314,7 @@ class TestKernelContracts:
 
         def yaw_cost(diff_mode):
             return mod.trajectory_cost(xa, ya, rs, 0.0, 0.1, refs,
-                                       xa, (99.0,) * 3, xa, (-99.0,) * 3,
+                                       99.0, -99.0,
                                        0.0, 0.0, 0.0, 1.0, diff_mode, (), 0.0)
 
         backward = ((0.1 / 0.1) ** 2 + (0.2 / 0.1) ** 2 + (-0.1 / 0.1) ** 2)

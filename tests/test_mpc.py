@@ -6,9 +6,9 @@ import pytest
 from lanempc import kernels
 from lanempc.dubins import build_lane_change_path, reference_for_horizon
 from lanempc.dynamics import LowSpeedError, VehicleState, state_derivative, ControlInput
-from lanempc.mpc import (BoundarySamples, MpcConfig, PredictedTrajectory,
-                         boundary_samples, cost, horizon_objective, predict,
-                         shift_warm_start, solve_step, zero_sequence)
+from lanempc.mpc import (MpcConfig, PredictedTrajectory, cost,
+                         horizon_objective, predict, shift_warm_start,
+                         solve_step, zero_sequence)
 from lanempc.scenario import Obstacle, Road, Scenario
 
 from fd_reference import fd_gradient
@@ -20,8 +20,7 @@ def S(vx=10.0, vy=0.0, r=0.0, X=0.0, Y=0.0, psi=0.0):
 
 def wide_road_scenario():
     """Straight reference far from any boundary (17.5 m to the nearest)."""
-    return Scenario(road=Road(lane_width=17.5, n_lanes=2,
-                              lower_boundary_y=-8.75),
+    return Scenario(road=Road(lane_width=17.5, lower_boundary_y=-8.75),
                     obstacles=(), ego_initial=S(), duration=6.0)
 
 
@@ -112,27 +111,6 @@ class TestPredict:
         assert e3 < 0.05 * e1
 
 
-class TestBoundarySamples:
-    def test_projection_abreast(self, cfg):
-        road = Road()
-        traj = PredictedTrajectory(xa=(1.0, 2.0, 3.0), ya=(0.5, 0.6, 0.7),
-                                   vx=(10.0,) * 3, vy=(0.0,) * 3,
-                                   r=(0.0,) * 3, psi=(0.0,) * 3,
-                                   fcf=(0.0,) * 3, fcr=(0.0,) * 3,
-                                   vxg=(10.0,) * 3, vyg=(0.0,) * 3, r0=0.0)
-        b = boundary_samples(road, traj)
-        assert b.xu == (1.0, 2.0, 3.0) and b.xl == (1.0, 2.0, 3.0)
-        assert b.yu == (road.upper_boundary_y,) * 3
-        assert b.yl == (road.lower_boundary_y,) * 3
-        shifted = PredictedTrajectory(xa=traj.xa,
-                                      ya=tuple(y + 1.0 for y in traj.ya),
-                                      vx=traj.vx, vy=traj.vy, r=traj.r,
-                                      psi=traj.psi, fcf=traj.fcf,
-                                      fcr=traj.fcr, vxg=traj.vxg,
-                                      vyg=traj.vyg, r0=0.0)
-        assert boundary_samples(road, shifted) == b
-
-
 def _flat_traj(ys, rs=None, r0=0.0, xs=None):
     n = len(ys)
     xs = tuple(xs or tuple(float(i + 1) for i in range(n)))
@@ -150,62 +128,48 @@ class TestCost:
         cfg = MpcConfig(a1=1.0, b1=0.4, b2=0.7, b3=1.0)
         traj = _flat_traj([1.75, 1.75, 1.75])
         refs = tuple(zip(traj.xa, traj.ya))
-        bounds = BoundarySamples(xu=traj.xa, yu=(3.5,) * 3,
-                                 xl=traj.xa, yl=(0.0,) * 3)
+        road = Road(lane_width=1.75, lower_boundary_y=0.0)
         want = 3 * (cfg.b1 + cfg.b2) * (1.0 / 1.75 ** 2) ** 2
-        assert cost(traj, refs, bounds, cfg) == pytest.approx(want, rel=1e-12)
-        # Samples not abreast: the upper ones 0.75 m ahead, the lower ones
-        # 1 m behind, so q = 0.75² + 1.75² = 3.625 and 1² + 1.75² = 4.0625.
-        skewed = BoundarySamples(xu=tuple(x + 0.75 for x in traj.xa),
-                                 yu=(3.5,) * 3,
-                                 xl=tuple(x - 1.0 for x in traj.xa),
-                                 yl=(0.0,) * 3)
-        want = 3 * (cfg.b1 / 3.625 ** 2 + cfg.b2 / 4.0625 ** 2)
-        assert cost(traj, refs, skewed, cfg) == pytest.approx(want, rel=1e-12)
+        assert cost(traj, refs, road, cfg) == pytest.approx(want, rel=1e-12)
 
     def test_zero_weights_zero_cost(self):
         cfg = MpcConfig(a1=0.0, b1=0.0, b2=0.0, b3=0.0)
         traj = _flat_traj([3.5, 0.0, 1.2], rs=(0.5, -0.5, 0.2))
         refs = ((0.0, 9.0), (1.0, -9.0), (2.0, 4.0))
-        bounds = BoundarySamples(xu=traj.xa, yu=(3.5,) * 3,
-                                 xl=traj.xa, yl=(0.0,) * 3)
-        assert cost(traj, refs, bounds, cfg) == 0.0
+        road = Road(lane_width=1.75, lower_boundary_y=0.0)
+        assert cost(traj, refs, road, cfg) == 0.0
 
     def test_attractive_term_scales_exactly(self):
         base = MpcConfig(a1=1.0, b1=0.0, b2=0.0, b3=0.0)
         double = MpcConfig(a1=2.0, b1=0.0, b2=0.0, b3=0.0)
         traj = _flat_traj([0.4, 0.9, 1.3])
         refs = ((1.0, 0.0), (2.0, 0.2), (3.0, 0.6))
-        bounds = BoundarySamples(xu=traj.xa, yu=(3.5,) * 3,
-                                 xl=traj.xa, yl=(0.0,) * 3)
-        assert cost(traj, refs, bounds, double) == 2.0 * cost(
-            traj, refs, bounds, base)
+        road = Road(lane_width=1.75, lower_boundary_y=0.0)
+        assert cost(traj, refs, road, double) == 2.0 * cost(
+            traj, refs, road, base)
 
     def test_on_boundary_is_infinite_sentinel(self):
         cfg = MpcConfig(b1=0.001, b2=0.001)
         traj = _flat_traj([3.5, 1.0, 1.0])
         refs = tuple(zip(traj.xa, traj.ya))
-        bounds = BoundarySamples(xu=traj.xa, yu=(3.5,) * 3,
-                                 xl=traj.xa, yl=(0.0,) * 3)
-        assert cost(traj, refs, bounds, cfg) == math.inf
+        road = Road(lane_width=1.75, lower_boundary_y=0.0)
+        assert cost(traj, refs, road, cfg) == math.inf
 
     def test_yaw_term_backward_difference(self):
         cfg = MpcConfig(a1=0.0, b1=0.0, b2=0.0, b3=2.0,
                         yaw_accel_diff="backward")
         traj = _flat_traj([0.0, 0.0, 0.0], rs=(0.2, 0.1, 0.1), r0=0.0)
         refs = tuple(zip(traj.xa, traj.ya))
-        bounds = BoundarySamples(xu=traj.xa, yu=(99.0,) * 3,
-                                 xl=traj.xa, yl=(-99.0,) * 3)
         want = 2.0 * ((0.2 / 0.1) ** 2 + (-0.1 / 0.1) ** 2 + 0.0)
-        assert cost(traj, refs, bounds, cfg) == pytest.approx(want, rel=1e-12)
+        road = Road(lane_width=99.0, lower_boundary_y=-99.0)
+        assert cost(traj, refs, road, cfg) == pytest.approx(want, rel=1e-12)
 
     def test_obstacle_repulsion_extension(self):
         cfg = MpcConfig(a1=0.0, b1=0.0, b2=0.0, b3=0.0, obstacle_weight=0.5)
         traj = _flat_traj([0.0])
         refs = ((1.0, 0.0),)
-        bounds = BoundarySamples(xu=traj.xa, yu=(99.0,), xl=traj.xa,
-                                 yl=(-99.0,))
-        got = cost(traj, refs, bounds, cfg, obstacle_points=((1.0, 2.0),))
+        road = Road(lane_width=99.0, lower_boundary_y=-99.0)
+        got = cost(traj, refs, road, cfg, obstacle_points=((1.0, 2.0),))
         assert got == pytest.approx(0.5 * (1.0 / 4.0) ** 2, rel=1e-12)
 
 
@@ -218,8 +182,7 @@ class TestSolveStep:
         assert abs(res.u0[0]) < 1e-3
         refs = reference_for_horizon(path, S(X=10.0), cfg.Np, cfg.dt)
         zero_traj = predict(S(X=10.0), zero_sequence(cfg), params, cfg)
-        j_zero = cost(zero_traj, refs, boundary_samples(sc.road, zero_traj),
-                      cfg)
+        j_zero = cost(zero_traj, refs, sc.road, cfg)
         assert res.cost <= j_zero + 1e-12
         assert j_zero - res.cost < 1e-6
 
@@ -247,8 +210,7 @@ class TestSolveStep:
         res = solve_step(state, static_scenario, path, params, cfg, warm)
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
         warm_traj = predict(state, warm, params, cfg)
-        j_warm = cost(warm_traj, refs,
-                      boundary_samples(static_scenario.road, warm_traj), cfg)
+        j_warm = cost(warm_traj, refs, static_scenario.road, cfg)
         assert res.cost <= j_warm
 
     def test_grid_oracle_single_step(self, params, static_scenario):
@@ -264,15 +226,14 @@ class TestSolveStep:
             for j in range(61):
                 tq = -cfg.Tb_max + j * ((cfg.Td_max + cfg.Tb_max) / 60)
                 traj = predict(state, ((d, tq),), params, cfg)
-                val = cost(traj, refs,
-                           boundary_samples(static_scenario.road, traj), cfg)
+                val = cost(traj, refs, static_scenario.road, cfg)
                 best = min(best, val)
         assert res.cost <= best * (1.0 + 1e-3)
 
     def test_mirror_symmetry_of_solve(self, params, cfg, static_scenario):
         sc = static_scenario
         mirrored = Scenario(
-            road=Road(lane_width=3.5, n_lanes=2, lower_boundary_y=-5.25),
+            road=Road(lane_width=3.5, lower_boundary_y=-5.25),
             obstacles=tuple(Obstacle(x0=o.x0, y0=-o.y0) for o in sc.obstacles),
             ego_initial=S(), duration=sc.duration)
         pa = build_lane_change_path(sc, 10.0, params)

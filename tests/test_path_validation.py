@@ -65,7 +65,8 @@ def _path_of(*segments):
         offsets.append(total)
         total += seg.length
     return ReferencePath(segments=tuple(segments), waypoints=(),
-                         total_length=total, offsets=tuple(offsets))
+                         total_length=total, offsets=tuple(offsets),
+                         design_speed=10.0)
 
 
 def _chained(*segments):
@@ -100,7 +101,7 @@ def _arc(centre, radius, start_angle, sweep):
                        start_angle=start_angle, sweep=sweep)
 
 
-WIDE_ROAD = Road(lane_width=1e3, n_lanes=2, lower_boundary_y=-1e3)
+WIDE_ROAD = Road(lane_width=1e3, lower_boundary_y=-1e3)
 
 
 # -- the exact check against the oracle ---------------------------------------
@@ -132,15 +133,14 @@ def validation_cases(draw):
     path = _chained(*draw(st.lists(segments, min_size=1, max_size=3)))
     rects = draw(st.lists(rect_near(path), min_size=1, max_size=3))
     lower = draw(st.floats(-8.0, -2.0))
-    road = Road(lane_width=draw(st.floats(2.0, 6.0)), n_lanes=2,
-                lower_boundary_y=lower)
+    road = Road(lane_width=draw(st.floats(2.0, 6.0)), lower_boundary_y=lower)
     from_x = draw(st.none() | st.floats(-6.0, 6.0))
     return path, road, rects, from_x
 
 
 def _loosened(road, rects, from_x, d):
     """The same checks, each boundary moved by d toward accepting more."""
-    return (Road(lane_width=road.lane_width - d, n_lanes=2,
+    return (Road(lane_width=road.lane_width - d,
                  lower_boundary_y=road.lower_boundary_y + d),
             [r.inflated(d) for r in rects],
             None if from_x is None else from_x - d)
@@ -235,7 +235,7 @@ class TestConstructedCases:
         path = _path_of(_line((0.0, 0.0), (100.0, 0.0)),
                         _arc((100.0, 10.0), 10.0, -0.5 * math.pi, math.pi),
                         _line((100.0, 20.0), (0.0, 20.0)))
-        road = Road(lane_width=15.0, n_lanes=2, lower_boundary_y=-5.0)
+        road = Road(lane_width=15.0, lower_boundary_y=-5.0)
         rect = Rect(10.0, -1.0, 12.0, 1.0)   # on the first line
         for check in (dubins._validate, _dense_validate):
             check(path, road, [rect], from_x=20.0)   # behind: ignored
@@ -252,7 +252,7 @@ class TestConstructedCases:
             dubins._validate(path, road, [side], from_x=109.5)
         # The road too: the arc's top and the return line leave a strip
         # ending at y = 15, but ahead of x = 109 the arc stays below 14.4.
-        narrow = Road(lane_width=10.0, n_lanes=2, lower_boundary_y=-5.0)
+        narrow = Road(lane_width=10.0, lower_boundary_y=-5.0)
         dubins._validate(path, narrow, [], from_x=109.0)
         with pytest.raises(PathConstructionError, match="leaves the road"):
             dubins._validate(path, narrow, [], from_x=108.0)

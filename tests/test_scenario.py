@@ -13,7 +13,7 @@ from lanempc.scenario import (Obstacle, Road, Scenario, ScenarioSchemaError,
 
 class TestRoad:
     def test_boundary_identity(self):
-        road = Road(lane_width=3.5, n_lanes=2, lower_boundary_y=-1.75)
+        road = Road(lane_width=3.5, lower_boundary_y=-1.75)
         assert road.upper_boundary_y == pytest.approx(
             road.lower_boundary_y + 2 * 3.5)
         assert road.centreline_y(0) == 0.0
@@ -22,8 +22,6 @@ class TestRoad:
     def test_validation(self):
         with pytest.raises(ValueError):
             Road(lane_width=0.0)
-        with pytest.raises(ValueError):
-            Road(n_lanes=0)
         with pytest.raises(ValueError):
             Road().centreline_y(2)
 
