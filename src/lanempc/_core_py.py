@@ -111,9 +111,10 @@ def trajectory_cost(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
     ``refs`` and ``obs_pts`` are flat [x0, y0, x1, y1, ...]; ``r0`` is the
     measured yaw rate the prediction started from; ``diff_mode`` selects the
     yaw-rate difference (0 backward, 1 forward, 2 centered; the last step
-    always falls back to backward).  A predicted point exactly on a boundary
-    or obstacle centre yields +inf (sentinel, not an exception) whenever the
-    corresponding weight is nonzero.
+    always falls back to backward).  A predicted point on or beyond a
+    boundary line (off the road), or exactly on an obstacle centre, yields
+    +inf (sentinel, not an exception) whenever the corresponding weight is
+    nonzero: the road barrier is one-sided.
     """
     parts = _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
                            a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
@@ -359,20 +360,20 @@ def _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
         tu = 0.0
         su = 0.0
         if b1 != 0.0:
+            if ya[i] >= y_upper:
+                return None
             dy = ya[i] - y_upper
             q = dy * dy
-            if q == 0.0:
-                return None
             t = 1.0 / q
             tu = b1 * (t * t)
             su = -4.0 * tu * t * dy
         tl = 0.0
         sl = 0.0
         if b2 != 0.0:
+            if ya[i] <= y_lower:
+                return None
             dy = ya[i] - y_lower
             q = dy * dy
-            if q == 0.0:
-                return None
             t = 1.0 / q
             tl = b2 * (t * t)
             sl = -4.0 * tl * t * dy

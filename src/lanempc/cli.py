@@ -102,21 +102,29 @@ def _apply_overrides(pairs, cfg, params):
 
 
 def _write_csv(path, header, rows):
+    """Write the header, then each row as it is produced: rows may be a
+    generator of string cells, and no list of rows is built."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _float_cells(values):
+    """Full-precision cells of plain numbers (``_fmt`` without the bool
+    case)."""
+    return map(repr, map(float, values))
+
+
+def _trajectory_cells(r):
+    s = r.state
+    return (*_float_cells((r.t, s.vx, s.vy, s.r, s.X, s.Y, s.psi,
+                           r.control[0], r.control[1], r.cost, r.ref_x,
+                           r.ref_y, r.clearance)),
+            _fmt(bool(r.converged)))
 
 
 def write_trajectory_csv(path, log):
-    rows = []
-    for r in log.rows:
-        s = r.state
-        rows.append(tuple(_fmt(v) for v in (
-            r.t, s.vx, s.vy, s.r, s.X, s.Y, s.psi, r.control[0],
-            r.control[1], r.cost, r.ref_x, r.ref_y, r.clearance)) +
-            (_fmt(bool(r.converged)),))
-    _write_csv(path, TRAJECTORY_COLUMNS, rows)
+    _write_csv(path, TRAJECTORY_COLUMNS, map(_trajectory_cells, log.rows))
 
 
 def write_metrics_csv(path, metrics):
@@ -125,13 +133,12 @@ def write_metrics_csv(path, metrics):
 
 
 def write_path_csvs(out_dir, path):
-    rows = [tuple(_fmt(v) for v in row) for row in dubins.dense_samples(path)]
     _write_csv(os.path.join(out_dir, "reference_path.csv"),
-               ("s", "x", "y", "heading", "curvature"), rows)
-    wrows = [(label, _fmt(x), _fmt(y))
-             for label, (x, y) in zip(path.waypoint_labels(), path.waypoints)]
-    _write_csv(os.path.join(out_dir, "waypoints.csv"),
-               ("label", "x", "y"), wrows)
+               ("s", "x", "y", "heading", "curvature"),
+               map(_float_cells, dubins.dense_samples(path)))
+    _write_csv(os.path.join(out_dir, "waypoints.csv"), ("label", "x", "y"),
+               ((label, _fmt(x), _fmt(y)) for label, (x, y)
+                in zip(path.waypoint_labels(), path.waypoints)))
 
 
 def _summary_line(name, metrics):

@@ -662,11 +662,8 @@ def _arc_params(seg, angles, lo, hi):
 
 
 def dense_samples(path, ds=0.1):
-    """(s, x, y, heading, curvature) rows along the whole path."""
-    rows = []
+    """Yield (s, x, y, heading, curvature) rows along the whole path."""
     n = max(1, int(path.total_length / ds))
     for i in range(n + 1):
         s = min(path.total_length, path.total_length * i / n)
-        x, y, heading, curvature = sample_reference(path, s)
-        rows.append((s, x, y, heading, curvature))
-    return rows
+        yield (s, *sample_reference(path, s))

@@ -43,7 +43,7 @@ class MpcConfig:
     solver_tol is the stationarity test of the box solver: a solve counts
     as converged when the largest projected-gradient entry, each control
     measured in units of its box span, is at most solver_tol * (1 + |J|).
-    solver_max_iter caps the solver's accepted steps per start.
+    solver_max_iter caps the solver's accepted steps in one solve_step.
     """
 
     Np: int = 3
@@ -113,7 +113,7 @@ class SolveResult:
     refs: tuple          # ((Xd, Yd), ...) reference points used
     converged: bool
     fallback: bool       # solver could not produce a finite cost
-    n_eval: int          # value-and-gradient evaluations, both starts
+    n_eval: int          # value-and-gradient evaluations, every start run
 
 
 def flatten_pairs(pairs):
@@ -143,9 +143,9 @@ def cost(traj, refs, road, cfg, obstacle_points=()):
     """Potential-field cost of a predicted trajectory on ``road``.
 
     refs is a sequence of (Xd, Yd) pairs, one per horizon step.  A predicted
-    point exactly on one of the road's boundary lines gives +inf (sentinel,
-    not an exception).  obstacle_points adds optional per-obstacle repulsion
-    scored with cfg.obstacle_weight.
+    point on or beyond one of the road's boundary lines gives +inf
+    (sentinel, not an exception).  obstacle_points adds optional
+    per-obstacle repulsion scored with cfg.obstacle_weight.
     """
     return kernels.active().trajectory_cost(
         traj.xa, traj.ya, traj.r, traj.r0, cfg.dt, flatten_pairs(refs),
@@ -187,10 +187,12 @@ def zero_sequence(cfg):
 def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
     """One receding-horizon solve; returns the first control plus diagnostics.
 
-    Minimizes the horizon cost over the steering/torque box with two
-    deterministic starts (the warm start and zero controls), so the result
-    never scores worse than either.  When no start yields a finite cost the
-    warm start is returned clipped to the box with fallback=True.
+    Minimizes the horizon cost over the steering/torque box from the warm
+    start clipped to the box, so the result never scores worse than that
+    start.  Only when the warm start's cost is not finite is a second solve
+    run from zero controls, and the lower of the two kept.  When neither
+    yields a finite cost the warm start is returned clipped to the box with
+    fallback=True.
     """
     refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
     backend = kernels.active()
@@ -206,20 +208,19 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
     warm_clipped = [min(upper[j], max(lower[j], warm_flat[j]))
                     for j in range(2 * cfg.Np)]
 
-    starts = [warm_clipped]
-    zeros = [0.0] * (2 * cfg.Np)
-    if zeros != warm_clipped:
-        starts.append(zeros)
+    def solve_from(x0):
+        return minimize_box(objective, lower, upper, x0,
+                            tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
+                            fgh=curvature)
 
-    best = None
-    n_eval = 0
-    for x0 in starts:
-        res = minimize_box(objective, lower, upper, x0,
-                           tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
-                           fgh=curvature)
-        n_eval += res.n_eval
-        if best is None or res.fun < best.fun:
-            best = res
+    best = solve_from(warm_clipped)
+    n_eval = best.n_eval
+    zeros = [0.0] * (2 * cfg.Np)
+    if not math.isfinite(best.fun) and zeros != warm_clipped:
+        rescue = solve_from(zeros)
+        n_eval += rescue.n_eval
+        if rescue.fun < best.fun:
+            best = rescue
 
     if not math.isfinite(best.fun):
         seq = tuple((warm_clipped[2 * i], warm_clipped[2 * i + 1])

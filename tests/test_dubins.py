@@ -171,7 +171,7 @@ class TestSampling:
 
     def test_dense_samples_cover_whole_path(self, params, empty_scenario):
         path = build_lane_change_path(empty_scenario, 10.0, params)
-        rows = dense_samples(path, ds=0.1)
+        rows = list(dense_samples(path, ds=0.1))
         assert rows[0][0] == 0.0
         assert rows[-1][0] == path.total_length
 

@@ -305,6 +305,30 @@ class TestKernelContracts:
         refs = (1.0, 0.0, 2.0, 0.0, 3.0, 0.0)
         assert mod.horizon_cost(*_cost_args(state, controls, refs)) == math.inf
 
+    def test_infinite_beyond_either_boundary(self):
+        # The road barrier is one-sided: a predicted point past a line
+        # scores +inf in every kernel, not the small finite value the
+        # reciprocal quartic takes on the far side.
+        mod = kernels.active()
+        controls = [0.0, 0.0] * 3
+        # straight ahead at y: above the upper line at 0.5, then below the
+        # lower line at -1.75
+        for y, y_upper in ((1.0, 0.5), (-2.0, 5.25)):
+            state = (10.0, 0.0, 0.0, 0.0, y, 0.0)
+            refs = (1.0, y, 2.0, y, 3.0, y)
+            args = _cost_args(state, controls, refs, y_upper=y_upper)
+            assert mod.horizon_cost(*args) == math.inf
+            assert mod.horizon_cost_grad(*args) == (math.inf, None)
+            assert mod.horizon_cost_gn(*args) == (math.inf, None, None)
+            ys = (y, y, y)
+            assert mod.trajectory_cost(
+                (1.0, 2.0, 3.0), ys, (0.0,) * 3, 0.0, 0.1, refs, y_upper,
+                -1.75, 1.0, 0.001, 0.001, 0.01, 1, (), 0.0) == math.inf
+            # a zero weight turns its line's barrier off
+            assert mod.trajectory_cost(
+                (1.0, 2.0, 3.0), ys, (0.0,) * 3, 0.0, 0.1, refs, y_upper,
+                -1.75, 1.0, 0.0, 0.0, 0.01, 1, (), 0.0) == 0.0
+
     def test_diff_mode_variants(self):
         mod = kernels.active()
         rs = (0.1, 0.3, 0.2)

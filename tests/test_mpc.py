@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from lanempc import kernels
+from lanempc import kernels, mpc
 from lanempc.dubins import build_lane_change_path, reference_for_horizon
 from lanempc.dynamics import LowSpeedError, VehicleState, state_derivative, ControlInput
-from lanempc.mpc import (MpcConfig, PredictedTrajectory, cost,
+from lanempc.mpc import (MpcConfig, PredictedTrajectory, cost, flatten_pairs,
                          horizon_objective, predict, shift_warm_start,
                          solve_step, zero_sequence)
+from lanempc.optimize import minimize_box
 from lanempc.scenario import Obstacle, Road, Scenario
 
 from fd_reference import fd_gradient
@@ -261,6 +262,39 @@ class TestSolveStep:
         for d, tq in res.sequence:
             assert -cfg.delta_max <= d <= cfg.delta_max
             assert -cfg.Tb_max <= tq <= cfg.Td_max
+
+    def _recorded_starts(self, monkeypatch, params, cfg, state, warm):
+        """solve_step's result and the start of each minimize_box call."""
+        starts = []
+
+        def recording(fg, lower, upper, x0, **kwargs):
+            starts.append(list(x0))
+            return minimize_box(fg, lower, upper, x0, **kwargs)
+
+        monkeypatch.setattr(mpc, "minimize_box", recording)
+        sc = wide_road_scenario()
+        path = build_lane_change_path(sc, 10.0, params)
+        return solve_step(state, sc, path, params, cfg, warm), starts
+
+    def test_one_start_from_a_finite_warm_start(self, monkeypatch, params,
+                                                cfg):
+        warm = ((2.0, 50.0), (0.01, -500.0), (0.0, 10.0))
+        res, starts = self._recorded_starts(monkeypatch, params, cfg,
+                                            S(X=10.0, Y=0.1), warm)
+        assert starts == [[cfg.delta_max, 50.0, 0.01, -cfg.Tb_max,
+                           0.0, 10.0]]
+        assert res.converged and not res.fallback
+
+    def test_zero_start_rescues_a_non_finite_warm_start(self, monkeypatch,
+                                                        params, cfg):
+        # Full braking from a crawl takes the predicted speed below the
+        # floor (+inf); coasting from zero controls keeps it finite.
+        state = S(vx=0.25)
+        warm = ((0.0, -cfg.Tb_max),) * cfg.Np
+        res, starts = self._recorded_starts(monkeypatch, params, cfg, state,
+                                            warm)
+        assert starts == [flatten_pairs(warm), [0.0] * (2 * cfg.Np)]
+        assert not res.fallback and math.isfinite(res.cost)
 
     def test_gradient_consistency_at_random_points(self, params, cfg,
                                                    static_scenario):

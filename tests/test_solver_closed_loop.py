@@ -15,9 +15,9 @@ from shipped import load_scenario
 
 SCENARIOS = {"static": "static_three_vehicle",
              "dynamic": "dynamic_three_vehicle"}
-# Mean kernel evaluations per control step: the measured 13.35 (static) and
-# 17.45 (dynamic) plus a small margin.
-MAX_MEAN_EVAL = {"static": 14.0, "dynamic": 18.5}
+# Mean kernel evaluations per control step: the measured 5.94 (static) and
+# 7.93 (dynamic), from the warm start alone, plus a small margin.
+MAX_MEAN_EVAL = {"static": 6.5, "dynamic": 8.5}
 
 
 @pytest.fixture(scope="module")
