@@ -1,9 +1,8 @@
 """Pure-Python prediction and cost kernels.
 
 The solver's hot path: the chained Euler prediction, the potential-field
-cost, and the fused cost with its exact gradient (adjoint sweep) or with
-its gradient and Gauss-Newton Hessian (forward-mode sweep).  The Euler
-step exists once, in ``_chain``, and the cost sum once, in
+cost, and the fused cost with its exact gradient (adjoint sweep).  The
+Euler step exists once, in ``_chain``, and the cost sum once, in
 ``_cost_partials``; every kernel composes the two, so they all return the
 same cost bit for bit.  lanempc.kernels hands this module out as the
 "python" backend.
@@ -26,7 +25,7 @@ def _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car, rw,
     Returns ``(xa, ya, rs, tape)``: lists of the predicted global x, global
     y and yaw rate, and per step the record ``(vx, vy, r, sd, cd, fcf, cp,
     sp, vxg, vyg, vx_n, vy_n, psi_n, fcr)``.  The first ten are what the
-    derivative sweeps need: the state the step starts from, the steering's
+    adjoint sweep needs: the state the step starts from, the steering's
     sine and cosine, the front force, the new heading's cosine and sine and
     the new global velocity.  The last four complete ``predict_steps``'
     columns.  Raises ValueError as ``predict_steps`` does.
@@ -193,147 +192,6 @@ def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
             lr_ + lpsi * dt + (lvx * vy - lvy * vx) * dt
             - af * lf * lfcf + ar * lr * lfcr)
     return j, grad
-
-
-def horizon_cost_gn(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
-                    car, rw, dt, yaw_div_m, refs, y_upper, y_lower,
-                    a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
-    """``horizon_cost`` with its gradient and Gauss-Newton Hessian.
-
-    Returns ``(cost, grad, hess)``, hess a symmetric positive semidefinite
-    list of rows in the layout of ``controls``, or ``(inf, None, None)``
-    wherever ``horizon_cost`` returns +inf.  The cost equals
-    ``horizon_cost`` bit for bit; the gradient is the chain rule through
-    ``predict_jacobians``, exact up to rounding.  The Hessian keeps the
-    cost's curvature in the predicted points and drops the chain's own
-    second derivatives: 2a1(JxᵀJx + JyᵀJy), Σ 20b/dy⁶ JyᵀJy for the
-    boundaries, the radial part 20w/q⁴ (JᵀΔ)(ΔᵀJ) of each obstacle term
-    (Δ the offset from its centre, q = |Δ|²), and 2b3 JṙᵀJṙ for the
-    yaw-acceleration differences.
-    """
-    pred = predict_jacobians(vx, vy, r, gx, gy, psi, controls, m, iz, lf,
-                             lr, caf, car, rw, dt, yaw_div_m)
-    if pred is None:
-        return INF, None, None
-    xa, ya, rs, jac_x, jac_y, jac_r = pred
-    n = len(xa)
-    nc = 2 * n
-    parts = _cost_partials(xa, ya, rs, r, dt, refs, y_upper, y_lower,
-                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
-    if parts is None:
-        return INF, None, None
-    j, jx, jy, jr = parts
-
-    grad = [0.0] * nc
-    hess = [[0.0] * nc for _ in range(nc)]
-    n_obs = len(obs_pts) // 2 if obs_weight != 0.0 else 0
-    zero = [0.0] * nc
-    for i in range(n):
-        ux = jac_x[i]
-        uy = jac_y[i]
-        ur = jac_r[i]
-        for k in range(2 * i + 2):
-            grad[k] += jx[i] * ux[k] + jy[i] * uy[k] + jr[i] * ur[k]
-        # Curvature of step i's point terms in (x, y).
-        cxx = cyy = 2.0 * a1
-        cxy = 0.0
-        for bw, yb in ((b1, y_upper), (b2, y_lower)):
-            if bw != 0.0:
-                t = 1.0 / ((ya[i] - yb) * (ya[i] - yb))
-                cyy += 20.0 * bw * (t * t * t)
-        for o in range(n_obs):
-            dx = xa[i] - obs_pts[2 * o]
-            dy = ya[i] - obs_pts[2 * o + 1]
-            t = 1.0 / (dx * dx + dy * dy)
-            w = 20.0 * obs_weight * (t * t) * (t * t)
-            cxx += w * dx * dx
-            cxy += w * dx * dy
-            cyy += w * dy * dy
-        # Yaw-acceleration row of step i, as trajectory_cost differences.
-        rp = jac_r[i - 1] if i > 0 else zero
-        if diff_mode == 1 and i + 1 < n:
-            rd = [(p - q) / dt for p, q in zip(jac_r[i + 1], ur)]
-        elif diff_mode == 2 and i + 1 < n:
-            rd = [(p - q) / (2.0 * dt) for p, q in zip(jac_r[i + 1], rp)]
-        else:
-            rd = [(p - q) / dt for p, q in zip(ur, rp)]
-        cr = 2.0 * b3
-        active = min(nc, 2 * i + 4)
-        for k in range(active):
-            xk = cxx * ux[k] + cxy * uy[k]
-            yk = cxy * ux[k] + cyy * uy[k]
-            rk = cr * rd[k]
-            row = hess[k]
-            for l in range(k, active):
-                row[l] += xk * ux[l] + yk * uy[l] + rk * rd[l]
-    for k in range(nc):
-        for l in range(k + 1, nc):
-            hess[l][k] = hess[k][l]
-    return j, grad, hess
-
-
-def predict_jacobians(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
-                      car, rw, dt, yaw_div_m):
-    """``predict_steps``' positions and yaw rates with their Jacobians.
-
-    One forward-mode sweep over the Euler chain's record carries a tangent
-    per control.  Returns ``(xa, ya, rs, jac_x, jac_y, jac_r)``,
-    ``jac_x[i][k]`` the derivative of step i's x in controls[k], or None
-    where ``predict_steps`` raises (speed floor, horizon cap).
-    """
-    try:
-        xa, ya, rs, tape = _chain(vx, vy, r, gx, gy, psi, controls, m, iz,
-                                  lf, lr, caf, car, rw, dt, yaw_div_m)
-    except ValueError:
-        return None
-    div = m if yaw_div_m else iz
-    km = (2.0 / m) * dt
-    kr = (2.0 / div) * dt
-    n = len(xa)
-    nc = 2 * n
-    # Tangents of (vx, vy, r, psi, gx, gy) in each control; control k only
-    # moves the chain from its own step k // 2 on.
-    tvx = [0.0] * nc
-    tvy = [0.0] * nc
-    tr = [0.0] * nc
-    tpsi = [0.0] * nc
-    tgx = [0.0] * nc
-    tgy = [0.0] * nc
-    jac_x = []
-    jac_y = []
-    jac_r = []
-    for i in range(n):
-        vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg, _, _, _, _ = tape[i]
-        inv = 1.0 / vx
-        ef = (vy + lf * r) * inv
-        er = (vy - lr * r) * inv
-        for k in range(2 * i + 2):
-            a = tvx[k]
-            b = tvy[k]
-            c = tr[k]
-            dfcf = -caf * ((b + lf * c - ef * a) * inv)
-            dfcr = -car * ((b - lr * c - er * a) * inv)
-            dvx = a + (b * r + vy * c) * dt - km * dfcf * sd
-            dvy = b - (a * r + vx * c) * dt + km * (dfcf * cd + dfcr)
-            if k == 2 * i:
-                # this step's steering angle
-                dvx -= km * (caf * sd + fcf * cd)
-                dvy += km * (caf * cd - fcf * sd)
-                dfcf += caf
-            elif k == 2 * i + 1:
-                # this step's torque
-                dvx += km / rw
-            dpsi = tpsi[k] + c * dt
-            tr[k] = c + kr * (lf * dfcf - lr * dfcr)
-            tvx[k] = dvx
-            tvy[k] = dvy
-            tpsi[k] = dpsi
-            tgx[k] += (dvx * cp - dvy * sp - vyg * dpsi) * dt
-            tgy[k] += (dvx * sp + dvy * cp + vxg * dpsi) * dt
-        jac_x.append(list(tgx))
-        jac_y.append(list(tgy))
-        jac_r.append(list(tr))
-    return xa, ya, rs, jac_x, jac_y, jac_r
 
 
 def _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,

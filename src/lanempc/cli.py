@@ -6,7 +6,8 @@
 Loads a scenario document (JSON; schema in the README), runs the requested
 controller(s), and writes CSV logs plus a metrics summary.  Exit codes:
 0 collision-free completion, 1 usage/config error, 2 collision,
-3 solver/plant abort.
+3 solver/plant abort (its message also reports a collision that came
+before the abort).
 """
 
 import argparse
@@ -208,10 +209,16 @@ def main(argv=None):
             log = harness.run(scenario, params, cfg, controller=name,
                               path=path)
         except harness.SimulationAborted as exc:
+            message = f"error: {name} run aborted: {exc.cause}"
             if exc.log.rows:
                 write_trajectory_csv(
                     os.path.join(args.out, f"trajectory_{name}.csv"), exc.log)
-            print(f"error: {name} run aborted: {exc.cause}", file=sys.stderr)
+                worst = min(exc.log.rows, key=lambda row: row.clearance)
+                if worst.clearance <= 0.0:
+                    message += (f"; collision before the abort: min "
+                                f"clearance {worst.clearance:.4f} m at "
+                                f"t={worst.t:.2f}")
+            print(message, file=sys.stderr)
             return 3
         write_trajectory_csv(
             os.path.join(args.out, f"trajectory_{name}.csv"), log)

@@ -411,14 +411,7 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
             gxmin, gxmax, gfar, pinned = metas[i]
             u = u_late[i]
             u_min = x_start if prev_land is None else prev_land
-            if not pinned:
-                for cxmin, cxmax, cnear in constraints:
-                    rise_near = _rise_inv(cnear, radius, h, theta, diag, s_len)
-                    if cxmax <= u + rise_near:
-                        u_min = max(u_min, cxmax - rise_near)
             if u < u_min - 1e-9 and not pinned:
-                if i > 0:
-                    return i - 1  # no room to dip before this group: merge
                 raise PathConstructionError(
                     f"obstacle near x={gxmin:.2f} leaves no room to start "
                     f"a radius-{radius:.2f} m turn")

@@ -134,15 +134,17 @@ def run(scenario, params, cfg, controller="integrated", path=None):
 
 def _integrated(scenario, params, cfg):
     """Receding-horizon control: one solve per step, warm-started from the
-    previous solution shifted by one step."""
+    previous solution shifted by one step and from the previous solve's
+    curvature estimate."""
     warm = zero_sequence(cfg)
+    hessian = None
     fallbacks = 0
 
     def control(state, path, t):
-        nonlocal warm, fallbacks
+        nonlocal warm, hessian, fallbacks
         try:
             res = solve_step(state, scenario, path, params, cfg, warm,
-                             at_time=t)
+                             at_time=t, hessian=hessian)
         except dynamics.LowSpeedError as exc:
             raise _Abort(f"predictor singular at t={t:.2f}: {exc}") from exc
         fallbacks = fallbacks + 1 if res.fallback else 0
@@ -150,6 +152,7 @@ def _integrated(scenario, params, cfg):
             raise _Abort(f"solver produced no finite cost for {fallbacks} "
                          f"consecutive steps ending t={t:.2f}")
         warm = shift_warm_start(res.sequence)
+        hessian = res.hessian
         return res.u0, res.cost, res.refs[0], res.converged
 
     return control

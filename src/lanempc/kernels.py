@@ -24,8 +24,7 @@ def backend_name():
 
 def active():
     """The active backend module (exposes predict_steps / trajectory_cost /
-    horizon_cost / horizon_cost_grad / horizon_cost_gn /
-    predict_jacobians)."""
+    horizon_cost / horizon_cost_grad)."""
     return _core_py
 
 

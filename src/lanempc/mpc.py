@@ -114,6 +114,7 @@ class SolveResult:
     converged: bool
     fallback: bool       # solver could not produce a finite cost
     n_eval: int          # value-and-gradient evaluations, every start run
+    hessian: tuple = None  # curvature estimate for the next step's solve
 
 
 def flatten_pairs(pairs):
@@ -184,7 +185,30 @@ def zero_sequence(cfg):
     return ((0.0, 0.0),) * cfg.Np
 
 
-def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
+def difference_hessian(fg, x, steps):
+    """Central differences of fg's gradient at x, symmetrised: a Hessian
+    estimate as a tuple of rows, or None when any of the 2 * len(x)
+    evaluations is not finite.  steps holds one positive step per
+    coordinate."""
+    n = len(x)
+    cols = []
+    for k in range(n):
+        hi = list(x)
+        lo = list(x)
+        hi[k] += steps[k]
+        lo[k] -= steps[k]
+        f_hi, g_hi = fg(hi)
+        f_lo, g_lo = fg(lo)
+        if not (math.isfinite(f_hi) and math.isfinite(f_lo)):
+            return None
+        width = hi[k] - lo[k]
+        cols.append([(p - q) / width for p, q in zip(g_hi, g_lo)])
+    return tuple(tuple(0.5 * (cols[a][b] + cols[b][a]) for b in range(n))
+                 for a in range(n))
+
+
+def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0,
+               hessian=None):
     """One receding-horizon solve; returns the first control plus diagnostics.
 
     Minimizes the horizon cost over the steering/torque box from the warm
@@ -193,14 +217,19 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
     run from zero controls, and the lower of the two kept.  When neither
     yields a finite cost the warm start is returned clipped to the box with
     fallback=True.
+
+    The solver's curvature estimate starts from ``hessian``, normally the
+    previous step's ``SolveResult.hessian``: consecutive problems differ
+    little.  Without one (a run's first step) it is estimated by central
+    differences of the gradient at the clipped warm start (2 * len(controls)
+    evaluations, counted in n_eval), or the identity when that fails.  The
+    result's hessian is the solver's final estimate, or ``hessian`` itself
+    on fallback.
     """
     refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-    backend = kernels.active()
-    # (J, dJ/dz), and (J, dJ/dz, Gauss-Newton d2J/dz2) to seed each start
-    objective = horizon_objective(backend.horizon_cost_grad, state, scenario,
-                                  refs, params, cfg, at_time)
-    curvature = horizon_objective(backend.horizon_cost_gn, state, scenario,
-                                  refs, params, cfg, at_time)
+    # (J, dJ/dz) of the flat control sequence z
+    objective = horizon_objective(kernels.active().horizon_cost_grad, state,
+                                  scenario, refs, params, cfg, at_time)
 
     lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
     upper = [cfg.delta_max, cfg.Td_max] * cfg.Np
@@ -208,13 +237,21 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
     warm_clipped = [min(upper[j], max(lower[j], warm_flat[j]))
                     for j in range(2 * cfg.Np)]
 
+    seed = hessian
+    n_eval = 0
+    if seed is None:
+        seed = difference_hessian(
+            objective, warm_clipped,
+            [1e-6 * (u - lo) for lo, u in zip(lower, upper)])
+        n_eval = 2 * len(warm_clipped)
+
     def solve_from(x0):
         return minimize_box(objective, lower, upper, x0,
                             tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
-                            fgh=curvature)
+                            hessian=seed)
 
     best = solve_from(warm_clipped)
-    n_eval = best.n_eval
+    n_eval += best.n_eval
     zeros = [0.0] * (2 * cfg.Np)
     if not math.isfinite(best.fun) and zeros != warm_clipped:
         rescue = solve_from(zeros)
@@ -226,8 +263,10 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0):
         seq = tuple((warm_clipped[2 * i], warm_clipped[2 * i + 1])
                     for i in range(cfg.Np))
         return SolveResult(u0=seq[0], sequence=seq, cost=best.fun, refs=refs,
-                           converged=False, fallback=True, n_eval=n_eval)
+                           converged=False, fallback=True, n_eval=n_eval,
+                           hessian=hessian)
 
     seq = tuple((best.x[2 * i], best.x[2 * i + 1]) for i in range(cfg.Np))
     return SolveResult(u0=seq[0], sequence=seq, cost=best.fun, refs=refs,
-                       converged=best.converged, fallback=False, n_eval=n_eval)
+                       converged=best.converged, fallback=False, n_eval=n_eval,
+                       hessian=best.hessian)

@@ -28,9 +28,11 @@ class BoxResult:
     converged: bool
     iterations: int
     n_eval: int
+    hessian: tuple       # final B in x units, rows; 0.0 where a span is 0
 
 
-def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100, fgh=None):
+def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
+                 hessian=None):
     """Minimize a smooth function over the box [lower, upper] from x0.
 
     fg takes a list of floats and returns ``(value, gradient)``; a value of
@@ -44,15 +46,16 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100, fgh=None):
     from the current one only by rounding, the sufficient-decrease test is
     made on the gradients.
 
-    fgh, when given, is called once at the clipped start in place of fg and
-    returns ``(value, gradient, hessian)``, hessian a list of rows; B then
-    starts from that curvature instead of the identity.
+    hessian, when given, is an initial estimate of the Hessian in x's own
+    units (a list of rows), for instance the ``hessian`` of an earlier
+    result on a nearby problem; B starts from it instead of the identity.
 
     Returns a BoxResult whose x lies exactly inside the box (clipping, not
     tolerance) and whose fun never exceeds the value at the clipped start.
     converged is True exactly when the span-scaled projected gradient's
     largest entry is at most ``tol * (1 + |fun|)``.  n_eval counts calls of
-    fg and fgh; iterations counts accepted steps.
+    fg; iterations counts accepted steps.  hessian is B when the iteration
+    stopped, in x units, or the given estimate when the start is not finite.
     """
     n = len(x0)
     if len(lower) != n or len(upper) != n:
@@ -67,17 +70,13 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100, fgh=None):
         return min(upper[j], max(lower[j], v))
 
     x = [clip(x0[j], j) for j in rng]
-    if fgh is None:
-        fx, gx = fg(x)
-        hx = None
-    else:
-        fx, gx, hx = fgh(x)
+    fx, gx = fg(x)
     evals = 1
     if not math.isfinite(fx):
-        return BoxResult(tuple(x), fx, False, 0, evals)
+        return BoxResult(tuple(x), fx, False, 0, evals, hessian)
     identity = [[1.0 if a == b else 0.0 for b in rng] for a in rng]
-    b_mat = identity if hx is None else [
-        [hx[a][b] * span[a] * span[b] for b in rng] for a in rng]
+    b_mat = identity if hessian is None else [
+        [hessian[a][b] * (span[a] * span[b]) for b in rng] for a in rng]
     x_start, f_start = tuple(x), fx
     g = [gx[j] * span[j] for j in rng]
 
@@ -152,11 +151,14 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100, fgh=None):
             continue
         b_mat = [[b_mat[a][b] - bs[a] * bs[b] / sbs + y[a] * y[b] / sy
                   for b in rng] for a in rng]
+    b_end = tuple(tuple(b_mat[a][b] / (span[a] * span[b])
+                        if span[a] and span[b] else 0.0 for b in rng)
+                  for a in rng)
     if fx > f_start:
         # Steps judged by gradients ended a rounding error above an
         # unconverged start: keep the start.
-        return BoxResult(x_start, f_start, False, iterations, evals)
-    return BoxResult(tuple(x), fx, converged, iterations, evals)
+        return BoxResult(x_start, f_start, False, iterations, evals, b_end)
+    return BoxResult(tuple(x), fx, converged, iterations, evals, b_end)
 
 
 def _cholesky_solve(b_mat, free, g):

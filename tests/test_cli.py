@@ -163,6 +163,36 @@ def test_collision_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_abort_after_collision_reports_it(tmp_path, capsys):
+    # A one-step horizon steers the static run into an obstacle boundary
+    # before the solver finds no finite cost: the abort exit code stays,
+    # and the message carries the partial log's worst clearance.
+    static = os.path.join(SCENARIO_DIR, "static_three_vehicle.json")
+    rc = cli.main(["run", "--scenario", static, "--out", str(tmp_path),
+                   "--set", "Np=1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    rows = read_trajectory_csv(tmp_path / "trajectory_integrated.csv")
+    worst = min(rows, key=lambda row: row["clearance"])
+    assert worst["clearance"] <= 0.0
+    assert "no finite cost" in err
+    assert (f"collision before the abort: min clearance "
+            f"{worst['clearance']:.4f} m at t={worst['t']:.2f}") in err
+
+
+def test_abort_without_collision_reports_only_the_abort(tmp_path, capsys,
+                                                        monkeypatch):
+    def aborted(scenario, params, cfg, controller, path):
+        raise harness.SimulationAborted(
+            "forced for the test", harness.SimulationLog((), 0.1, controller))
+
+    monkeypatch.setattr(harness, "run", aborted)
+    rc = cli.main(["run", "--scenario", SMALL, "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "forced for the test" in err and "collision" not in err
+
+
 def test_unplannable_layout_exit_code(tmp_path, capsys):
     doc = {"road": {}, "ego": {"vx": 10.0}, "duration": 4.0,
            "obstacles": [{"x": 8.0, "y": 0.0}]}

@@ -96,9 +96,10 @@ class TestRunContracts:
                                               empty_scenario, monkeypatch):
         real_solve = harness.solve_step
 
-        def broken_solve(state, scenario, path, p, c, warm, at_time=0.0):
+        def broken_solve(state, scenario, path, p, c, warm, at_time=0.0,
+                         hessian=None):
             res = real_solve(state, scenario, path, p, c, warm,
-                             at_time=at_time)
+                             at_time=at_time, hessian=hessian)
             return type(res)(u0=res.u0, sequence=res.sequence,
                              cost=math.inf, refs=res.refs, converged=False,
                              fallback=True, n_eval=res.n_eval)
@@ -107,6 +108,24 @@ class TestRunContracts:
         with pytest.raises(SimulationAborted) as err:
             run(empty_scenario, params, cfg)
         assert "no finite cost" in str(err.value.cause)
+
+    def test_each_solve_starts_from_the_last_curvature(self, params, cfg,
+                                                       small_scenario,
+                                                       monkeypatch):
+        real_solve = harness.solve_step
+        calls = []
+
+        def recording(*args, **kwargs):
+            res = real_solve(*args, **kwargs)
+            calls.append((kwargs["hessian"], res))
+            return res
+
+        monkeypatch.setattr(harness, "solve_step", recording)
+        log = run(small_scenario, params, cfg)
+        assert len(calls) == len(log.rows)
+        assert calls[0][0] is None
+        for (_, before), (given, _) in zip(calls, calls[1:]):
+            assert given is before.hessian and given is not None
 
     @pytest.mark.parametrize("controller", CONTROLLERS)
     def test_refused_rebuild_drives_the_last_plan(self, params, cfg,

@@ -151,129 +151,6 @@ class TestCostGradient:
         assert mod.horizon_cost_grad(*args) == (math.inf, None)
 
 
-class TestGaussNewton:
-    def test_cost_equals_horizon_cost_bitwise(self):
-        mod = kernels.active()
-        for trial, (_, args) in enumerate(
-                _variant_cases(random.Random(31), 240)):
-            cost, grad, hess = mod.horizon_cost_gn(*args)
-            assert cost == mod.horizon_cost(*args), f"trial {trial}"
-            assert len(grad) == len(hess) == len(args[6])
-
-    def test_gradient_matches_adjoint(self):
-        mod = kernels.active()
-        for trial, (_, args) in enumerate(
-                _variant_cases(random.Random(53), 240)):
-            _, adjoint = mod.horizon_cost_grad(*args)
-            _, grad, _ = mod.horizon_cost_gn(*args)
-            for j, (a, b) in enumerate(zip(grad, adjoint)):
-                assert abs(a - b) <= 1e-9 * (abs(a) + abs(b)), \
-                    f"trial {trial}, coordinate {j}: {a!r} vs {b!r}"
-
-    def test_jacobians_match_finite_differences(self):
-        mod = kernels.active()
-        for trial, (controls, args) in enumerate(
-                _variant_cases(random.Random(61), 80)):
-            chain = args[:16]
-            xa, _, _, jac_x, jac_y, jac_r = mod.predict_jacobians(*chain)
-            for k in range(len(controls)):
-                h = 1e-6 * _SPANS[k % 2]
-                plus, minus = list(controls), list(controls)
-                plus[k] += h
-                minus[k] -= h
-                hi = mod.predict_steps(*chain[:6], plus, *chain[7:])
-                lo = mod.predict_steps(*chain[:6], minus, *chain[7:])
-                for jac, col in ((jac_x, 0), (jac_y, 1), (jac_r, 4)):
-                    for i in range(len(xa)):
-                        fd = (hi[col][i] - lo[col][i]) / (2.0 * h)
-                        a = jac[i][k]
-                        # rounding of x, y ~ 100 m over h dominates
-                        assert abs(a - fd) <= 1e-5 * (abs(a) + abs(fd)) \
-                            + 1e-7, f"trial {trial}, step {i}, control {k}"
-
-    def test_hessian_symmetric_positive_semidefinite(self):
-        mod = kernels.active()
-        rng = random.Random(71)
-        for trial, (_, args) in enumerate(
-                _variant_cases(random.Random(67), 240)):
-            _, _, hess = mod.horizon_cost_gn(*args)
-            n = len(hess)
-            scale = max(abs(v) for row in hess for v in row)
-            for a in range(n):
-                assert all(hess[a][b] == hess[b][a] for b in range(n))
-            for _ in range(20):
-                v = [rng.gauss(0.0, 1.0) for _ in range(n)]
-                quad = sum(v[a] * hess[a][b] * v[b]
-                           for a in range(n) for b in range(n))
-                assert quad >= -1e-12 * scale * sum(x * x for x in v), \
-                    f"trial {trial}"
-
-    def test_hessian_is_cost_curvature_along_the_linearised_chain(self):
-        # Without obstacle terms the Gauss-Newton Hessian is exactly the
-        # second derivative of trajectory_cost at the predicted points
-        # moved along the chain's Jacobian: v'Hv = d2/dt2 J(P + t Jv).
-        # Each obstacle term adds its radial curvature 20w/q^4 (Δ'Jv)^2.
-        mod = kernels.active()
-        rng = random.Random(73)
-        for trial, (_, args) in enumerate(
-                _variant_cases(random.Random(79), 120)):
-            xa, ya, rs, jac_x, jac_y, jac_r = mod.predict_jacobians(
-                *args[:16])
-            n = len(xa)
-            refs, y_upper, y_lower, a1, b1, b2, b3, diff, obs, ow = args[16:]
-            _, _, hess = mod.horizon_cost_gn(*args[:-2], (), 0.0)
-            _, _, hess_obs = mod.horizon_cost_gn(*args)
-
-            def along(t, v):
-                move = [[p + t * sum(row[k] * v[k] for k in range(2 * n))
-                         for p, row in zip(vals, jac)]
-                        for vals, jac in ((xa, jac_x), (ya, jac_y),
-                                          (rs, jac_r))]
-                return mod.trajectory_cost(
-                    move[0], move[1], move[2], args[2], 0.1, refs,
-                    y_upper, y_lower, a1, b1, b2, b3, diff, (), 0.0)
-
-            for _ in range(3):
-                v = [rng.gauss(0.0, 1.0) * _SPANS[k % 2] * 1e-3
-                     for k in range(2 * n)]
-                h = 1e-2
-                fd = (along(h, v) - 2.0 * along(0.0, v) + along(-h, v)) / h ** 2
-                quad = sum(v[a] * hess[a][b] * v[b]
-                           for a in range(2 * n) for b in range(2 * n))
-                assert quad == pytest.approx(fd, rel=1e-4, abs=1e-9), \
-                    f"trial {trial}"
-                radial = 0.0
-                for i in range(n):
-                    mx = sum(jac_x[i][k] * v[k] for k in range(2 * n))
-                    my = sum(jac_y[i][k] * v[k] for k in range(2 * n))
-                    for o in range(0, len(obs), 2):
-                        dx, dy = xa[i] - obs[o], ya[i] - obs[o + 1]
-                        q = dx * dx + dy * dy
-                        radial += 20.0 * ow / q ** 4 * (dx * mx + dy * my) ** 2
-                quad_obs = sum(v[a] * hess_obs[a][b] * v[b]
-                               for a in range(2 * n) for b in range(2 * n))
-                assert quad_obs - quad == pytest.approx(radial, rel=1e-6,
-                                                        abs=1e-15)
-
-    def test_infinite_where_horizon_cost_is(self):
-        mod = kernels.active()
-        refs = (1.0, 0.0, 2.0, 0.0, 3.0, 0.0)
-        cases = [_cost_args(state, [0.0, -160.0] * 3, refs)
-                 for state in ((0.05, 0.0, 0.0, 0.0, 0.0, 0.0),
-                               (0.15, 0.0, 0.0, 0.0, 0.0, 0.0))]
-        on_path = ((10.0, 0.0, 0.0, 0.0, 1.0, 0.0), [0.0, 0.0] * 3,
-                   (1.0, 1.0, 2.0, 1.0, 3.0, 1.0))
-        cases.append(_cost_args(*on_path, y_upper=1.0))
-        cases.append(_cost_args(*on_path, obs=(2.0, 1.0), ow=0.5))
-        cases.append(_over_long_horizon_args())
-        for args in cases:
-            assert mod.horizon_cost(*args) == math.inf
-            assert mod.horizon_cost_gn(*args) == (math.inf, None, None)
-        # the chain itself fails only on the speed floor and the cap
-        assert mod.predict_jacobians(*cases[0][:16]) is None
-        assert mod.predict_jacobians(*cases[-1][:16]) is None
-
-
 class TestKernelContracts:
     def test_speed_floor_raises(self):
         mod = kernels.active()
@@ -319,7 +196,6 @@ class TestKernelContracts:
             args = _cost_args(state, controls, refs, y_upper=y_upper)
             assert mod.horizon_cost(*args) == math.inf
             assert mod.horizon_cost_grad(*args) == (math.inf, None)
-            assert mod.horizon_cost_gn(*args) == (math.inf, None, None)
             ys = (y, y, y)
             assert mod.trajectory_cost(
                 (1.0, 2.0, 3.0), ys, (0.0,) * 3, 0.0, 0.1, refs, y_upper,

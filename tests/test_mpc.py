@@ -6,7 +6,8 @@ import pytest
 from lanempc import kernels, mpc
 from lanempc.dubins import build_lane_change_path, reference_for_horizon
 from lanempc.dynamics import LowSpeedError, VehicleState, state_derivative, ControlInput
-from lanempc.mpc import (MpcConfig, PredictedTrajectory, cost, flatten_pairs,
+from lanempc.mpc import (MpcConfig, PredictedTrajectory, cost,
+                         difference_hessian, flatten_pairs,
                          horizon_objective, predict, shift_warm_start,
                          solve_step, zero_sequence)
 from lanempc.optimize import minimize_box
@@ -296,6 +297,73 @@ class TestSolveStep:
         assert starts == [flatten_pairs(warm), [0.0] * (2 * cfg.Np)]
         assert not res.fallback and math.isfinite(res.cost)
 
+    def _recorded_seeds(self, monkeypatch, params, cfg, state, warm,
+                        hessian=None):
+        """solve_step's result and the hessian each minimize_box call was
+        seeded with."""
+        seeds = []
+
+        def recording(fg, lower, upper, x0, **kwargs):
+            seeds.append(kwargs["hessian"])
+            return minimize_box(fg, lower, upper, x0, **kwargs)
+
+        monkeypatch.setattr(mpc, "minimize_box", recording)
+        sc = wide_road_scenario()
+        path = build_lane_change_path(sc, 10.0, params)
+        return solve_step(state, sc, path, params, cfg, warm,
+                          hessian=hessian), seeds
+
+    def test_first_step_seeds_from_differences(self, monkeypatch, params,
+                                               cfg):
+        state = S(X=10.0, Y=0.1)
+        warm = ((2.0, 50.0), (0.01, -500.0), (0.0, 10.0))
+        res, seeds = self._recorded_seeds(monkeypatch, params, cfg, state,
+                                          warm)
+        sc = wide_road_scenario()
+        path = build_lane_change_path(sc, 10.0, params)
+        refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
+        fg = horizon_objective(kernels.active().horizon_cost_grad, state, sc,
+                               refs, params, cfg)
+        lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
+        upper = [cfg.delta_max, cfg.Td_max] * cfg.Np
+        start = [cfg.delta_max, 50.0, 0.01, -cfg.Tb_max, 0.0, 10.0]
+        want = difference_hessian(
+            fg, start, [1e-6 * (u - lo) for lo, u in zip(lower, upper)])
+        assert seeds == [want]
+        box = minimize_box(fg, lower, upper, start, tol=cfg.solver_tol,
+                           max_iter=cfg.solver_max_iter, hessian=want)
+        assert res.n_eval == 4 * cfg.Np + box.n_eval
+        assert res.hessian == box.hessian
+
+    def test_given_estimate_seeds_the_solve(self, monkeypatch, params, cfg):
+        given = tuple(tuple(1.0 if a == b else 0.0 for b in range(6))
+                      for a in range(6))
+        res, seeds = self._recorded_seeds(monkeypatch, params, cfg,
+                                          S(X=10.0, Y=0.1),
+                                          zero_sequence(cfg), given)
+        assert len(seeds) == 1 and seeds[0] is given
+        assert res.converged and res.hessian is not given
+
+    def test_rescue_start_uses_the_same_estimate(self, monkeypatch, params,
+                                                 cfg):
+        state = S(vx=0.25)
+        warm = ((0.0, -cfg.Tb_max),) * cfg.Np
+        res, seeds = self._recorded_seeds(monkeypatch, params, cfg, state,
+                                          warm)
+        assert len(seeds) == 2 and seeds[0] is seeds[1]
+        assert not res.fallback
+
+    def test_fallback_passes_the_estimate_through(self, params, cfg):
+        sc = wide_road_scenario()
+        path = build_lane_change_path(sc, 10.0, params)
+        state = VehicleState(vx=0.2, vy=-2.0, r=2.0, X=10.0, Y=0.0, psi=0.0)
+        given = ((2.0,) * 6,) * 6
+        res = solve_step(state, sc, path, params, cfg, ((0.1, -50.0),) * 3,
+                         hessian=given)
+        assert res.fallback and res.hessian is given
+        res = solve_step(state, sc, path, params, cfg, ((0.1, -50.0),) * 3)
+        assert res.fallback and res.hessian is None
+
     def test_gradient_consistency_at_random_points(self, params, cfg,
                                                    static_scenario):
         # The finite-difference machinery agrees with an independent
@@ -322,6 +390,50 @@ class TestSolveStep:
             g_ref = fd_gradient(objective, z, [1e-5 * s for s in spans])
             for a, b in zip(g_fine, g_ref):
                 assert abs(a - b) <= 1e-3 * (abs(a) + abs(b)) + 1e-9
+
+
+class TestDifferenceHessian:
+    def test_exact_on_a_quadratic(self):
+        # f = x'Ax/2 + b'x: central differences of its gradient are exact
+        # up to rounding, at steps the size solve_step takes.  Gradient
+        # entries here reach about 4,000, so rounding (1e-16 relative)
+        # over a 3.2e-6 width leaves at most about 1e-7.
+        hess = [[4.0, 1.0, 0.5, -2.0], [1.0, 30.0, -0.4, 0.0],
+                [0.5, -0.4, 2.0, 7.0], [-2.0, 0.0, 7.0, 90.0]]
+        lin = [0.3, -1.0, 2.0, 5.0]
+
+        def fg(x):
+            g = [sum(a * xj for a, xj in zip(row, x)) + bi
+                 for row, bi in zip(hess, lin)]
+            return 0.5 * sum(gi * xi for gi, xi in zip(g, x)), g
+
+        got = difference_hessian(fg, [0.1, -120.0, 0.7, 33.0],
+                                 [1.6e-6, 3.6e-4, 1.6e-6, 3.6e-4])
+        for row, want in zip(got, hess):
+            assert row == pytest.approx(want, rel=0.0, abs=1e-6)
+
+    def test_exactly_symmetric(self, params, cfg, static_scenario):
+        path = build_lane_change_path(static_scenario, 10.0, params)
+        state = S(X=30.0, Y=0.3, psi=0.02)
+        refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
+        fg = horizon_objective(kernels.active().horizon_cost_grad, state,
+                               static_scenario, refs, params, cfg)
+        steps = [1e-6 * 2 * cfg.delta_max,
+                 1e-6 * (cfg.Td_max + cfg.Tb_max)] * cfg.Np
+        got = difference_hessian(fg, [0.05, 20.0] * cfg.Np, steps)
+        n = 2 * cfg.Np
+        assert len(got) == n
+        assert all(got[a][b] == got[b][a] for a in range(n) for b in range(n))
+        assert any(got[a][b] != 0.0 for a in range(n) for b in range(a))
+
+    def test_none_on_a_non_finite_evaluation(self):
+        def fg(x):
+            if x[1] > 1.0:
+                return math.inf, None
+            return x[0] ** 2 + x[1] ** 2, [2.0 * x[0], 2.0 * x[1]]
+
+        assert difference_hessian(fg, [0.0, 0.5], [1e-3, 1e-3]) is not None
+        assert difference_hessian(fg, [0.0, 1.0], [1e-3, 1e-3]) is None
 
 
 class TestWarmStart:

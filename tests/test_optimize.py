@@ -147,7 +147,7 @@ class TestMinimizeBox:
 
 
 class TestInitialCurvature:
-    """minimize_box seeded with a Hessian through ``fgh``."""
+    """minimize_box seeded with a Hessian estimate through ``hessian``."""
 
     @staticmethod
     def coupled(centre, hess):
@@ -156,16 +156,13 @@ class TestInitialCurvature:
             d = [xi - ci for xi, ci in zip(x, centre)]
             g = [sum(a * dj for a, dj in zip(row, d)) for row in hess]
             return 0.5 * sum(gi * di for gi, di in zip(g, d)), g
-
-        def fgh(x):
-            value, g = fg(x)
-            return value, g, [list(row) for row in hess]
-        return fg, fgh
+        return fg
 
     def test_exact_hessian_converges_in_one_step(self):
         hess = [[4.0, 1.0, 0.5], [1.0, 3.0, -0.4], [0.5, -0.4, 2.0]]
-        fg, fgh = self.coupled([0.3, -0.2, 0.1], hess)
-        res = minimize_box(fg, [-1.0] * 3, [1.0] * 3, [0.0] * 3, fgh=fgh)
+        fg = self.coupled([0.3, -0.2, 0.1], hess)
+        res = minimize_box(fg, [-1.0] * 3, [1.0] * 3, [0.0] * 3,
+                           hessian=hess)
         assert res.converged
         assert res.iterations == 1 and res.n_eval == 2
         for got, want in zip(res.x, (0.3, -0.2, 0.1)):
@@ -177,9 +174,9 @@ class TestInitialCurvature:
         # there, the free block's Newton step solves 4 x0 + 1 = 4 * 0.3 +
         # 1.5 for x0 = 0.425 in one more step.
         hess = [[4.0, 1.0], [1.0, 3.0]]
-        fg, fgh = self.coupled([0.3, 1.5], hess)
+        fg = self.coupled([0.3, 1.5], hess)
         lower, upper = [-1.0, -1.0], [1.0, 1.0]
-        res = minimize_box(fg, lower, upper, [0.0, 0.0], fgh=fgh)
+        res = minimize_box(fg, lower, upper, [0.0, 0.0], hessian=hess)
         assert res.converged
         assert res.x[1] == 1.0
         assert res.x[0] == pytest.approx(0.425, abs=1e-12)
@@ -191,22 +188,44 @@ class TestInitialCurvature:
 
     def test_singular_curvature_falls_back_to_steepest_descent(self):
         # A zero Hessian has no Cholesky factor: B restarts at the identity.
-        fg = quadratic([0.2, -0.3])
-
-        def fgh(x):
-            value, g = fg(x)
-            return value, g, [[0.0, 0.0], [0.0, 0.0]]
-
-        res = minimize_box(fg, [-1.0, -1.0], [1.0, 1.0], [0.0, 0.0],
-                           fgh=fgh)
+        res = minimize_box(quadratic([0.2, -0.3]), [-1.0, -1.0], [1.0, 1.0],
+                           [0.0, 0.0], hessian=[[0.0, 0.0], [0.0, 0.0]])
         assert res.converged
         assert res.x == pytest.approx((0.2, -0.3), abs=1e-9)
 
     def test_nonfinite_start_with_curvature(self):
-        res = minimize_box(quadratic([0.0]), [0.0], [1.0], [0.5],
-                           fgh=lambda x: (math.inf, None, None))
+        # The estimate comes back unchanged: nothing was learned.
+        hess = ((2.0,),)
+        res = minimize_box(lambda x: (math.inf, None), [0.0], [1.0], [0.5],
+                           hessian=hess)
         assert not res.converged and res.fun == math.inf
         assert res.n_eval == 1 and res.iterations == 0
+        assert res.hessian is hess
+
+    def test_final_estimate_seeds_the_next_solve_in_one_step(self):
+        # Unequal spans: the result is B unscaled back into x units.  On a
+        # quadratic the BFGS update keeps an exact B exact (B s = y), so
+        # the estimate fed back solves the next problem in one step.
+        hess = [[4.0, 1.0, 0.5], [1.0, 3.0, -0.4], [0.5, -0.4, 2.0]]
+        fg = self.coupled([0.3, -0.2, 1.1], hess)
+        lower, upper = [-1.0, -0.5, 0.0], [1.0, 2.0, 10.0]
+        first = minimize_box(fg, lower, upper, [0.0, 0.0, 0.0], hessian=hess)
+        assert first.converged
+        for got, want in zip(first.hessian, hess):
+            assert got == pytest.approx(want, rel=1e-12)
+        again = minimize_box(fg, lower, upper, [0.9, 1.5, 7.0],
+                             hessian=first.hessian)
+        assert again.converged
+        assert again.iterations == 1 and again.n_eval == 2
+        for got, want in zip(again.x, (0.3, -0.2, 1.1)):
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_final_estimate_is_zero_in_a_zero_span_coordinate(self):
+        res = minimize_box(quadratic([0.2, 0.5]), [-1.0, 0.5], [1.0, 0.5],
+                           [0.0, 0.5])
+        assert res.converged
+        assert res.hessian[1] == (0.0, 0.0) and res.hessian[0][1] == 0.0
+        assert res.hessian[0][0] > 0.0
 
 
 class TestFdGradient:
