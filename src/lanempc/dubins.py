@@ -357,127 +357,108 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
     # Swerve-back caps only matter for descents still ahead of the ego.
     cap_rects = sorted(c for c in constraints if c[0] >= ex - 1.0)
     constraints.sort()
-    # Rectangles currently being overflown share one (historical) swerve-out.
+    # Groups still to decide, left to right.  Rectangles currently being
+    # overflown share one (historical) swerve-out.
     pinned_members = [b for b in blockers if b[3]]
-    groups = (([pinned_members] if pinned_members else [])
-              + [[b] for b in blockers if not b[3]])
+    pending = (([pinned_members] if pinned_members else [])
+               + [[b] for b in blockers if not b[3]])
 
-    def plan_groups():
-        """(swerve-out x, swerve-back x) per group, or the index to merge.
+    def rise(y):
+        return _rise_inv(y, radius, h, theta, diag, s_len)
 
-        Right-to-left pass: the latest usable swerve-out per group, given
-        the group's own leading corner, adjacent-lane caps on the
-        swerve-back, and the room needed to land and climb again before the
-        next group.  Left-to-right pass: final placement and ordering
-        checks; returns an index when the dip between that group and the
-        next cannot fit and they must be taken as one.
-        """
-        n_groups = len(groups)
-        metas = []
-        for grp in groups:
-            metas.append((min(b[0] for b in grp), max(b[1] for b in grp),
-                          max(b[2] for b in grp), any(b[3] for b in grp)))
+    def traffic_hit(u, d):
+        """xmin of the first adjacent-lane rectangle that the swerve out at
+        u and back at d runs into ahead of from_x, or None.  The swerve is
+        above a rectangle's near edge from its climb to its descent."""
+        for cxmin, cxmax, cnear in constraints:
+            above_to = d + rise(h - cnear)
+            if (u + rise(cnear) + 1e-6 < cxmax and cxmin + 1e-6 < above_to
+                    and (from_x is None
+                         or min(cxmax, above_to) > from_x + 1e-6)):
+                return cxmin
+        return None
 
-        u_late = [0.0] * n_groups
-        cap_targets = [math.inf] * n_groups
-        cap_dip = [math.inf] * n_groups
-        for i in range(n_groups - 1, -1, -1):
-            gxmin, _, gfar, pinned = metas[i]
-            u_max = (max(ex - s_len, x_start) if pinned
-                     else gxmin - _rise_inv(gfar, radius, h, theta, diag, s_len))
-            tcap = math.inf
-            for cxmin, cxmax, cnear in cap_rects:
-                # The swerve is above the constraint's near edge over an
-                # (enter, exit) span that must miss the rectangle on one
-                # side; rectangles not clearable before the climb cap the
-                # swerve-back instead.
-                rise_near = _rise_inv(cnear, radius, h, theta, diag, s_len)
-                if cxmax > u_max + rise_near:
-                    tcap = min(tcap,
-                               cxmin - _rise_inv(h - cnear, radius, h, theta, diag, s_len))
-            dcap = math.inf if i + 1 == n_groups else u_late[i + 1] - s_len
-            if pinned:
-                # Already above this group: the swerve-out is not a free
-                # variable any more.
-                u_late[i] = u_max
-            else:
-                u_late[i] = min(u_max, min(tcap, dcap) - MIN_PLATEAU - s_len)
-            cap_targets[i] = tcap
-            cap_dip[i] = dcap
+    # Right-to-left pass: the latest usable swerve-out of each group, given
+    # its own leading corner, adjacent-lane caps on the swerve-back, and the
+    # room to land and climb again before the group to its right, which is
+    # already final.  Where the swerve-back lands too late for that climb,
+    # or the swerve runs into adjacent-lane traffic, the two groups are
+    # taken as one and the merged group is evaluated again.
+    placed = []  # (members, xmin, pinned, swerve-out, swerve-back, caps)
+    while pending:
+        grp = pending.pop()
+        gxmin = min(b[0] for b in grp)
+        gfar = max(b[2] for b in grp)
+        pinned = any(b[3] for b in grp)
+        u_max = max(ex - s_len, x_start) if pinned else gxmin - rise(gfar)
+        # Adjacent-lane rectangles not clearable before the climb cap the
+        # swerve-back.
+        tcap = min((cxmin - rise(h - cnear)
+                    for cxmin, cxmax, cnear in cap_rects
+                    if cxmax > u_max + rise(cnear)), default=math.inf)
+        dcap = placed[-1][3] - s_len if placed else math.inf
+        # A pinned group is already being overflown: its swerve-out is not
+        # a free variable any more, and it gets no cosmetic plateau.
+        plateau = 0.0 if pinned else MIN_PLATEAU
+        u = u_max if pinned else min(u_max, min(tcap, dcap) - plateau - s_len)
+        d = max(u + s_len + plateau,
+                max(b[1] for b in grp) - rise(h - gfar))
+        if placed and (d > dcap + 1e-9 or traffic_hit(u, d) is not None):
+            pending.append(grp + placed.pop()[0])
+        else:
+            placed.append((grp, gxmin, pinned, u, d, tcap, dcap))
 
-        plan = []
-        prev_land = None
-        for i in range(n_groups):
-            gxmin, gxmax, gfar, pinned = metas[i]
-            u = u_late[i]
-            u_min = x_start if prev_land is None else prev_land
-            if u < u_min - 1e-9 and not pinned:
-                raise PathConstructionError(
-                    f"obstacle near x={gxmin:.2f} leaves no room to start "
-                    f"a radius-{radius:.2f} m turn")
-            u = max(u, u_min) if not pinned else u
-            if pinned:
-                # The historical swerve-out lies s_len behind the ego or at
-                # the path's start, whichever is later.  Where its climb
-                # reaches a member's far edge only past that member's
-                # leading edge (and ahead of from_x), it runs through it.
-                for bxmin, bxmax, bfar, _ in groups[i]:
-                    clear = u + _rise_inv(bfar, radius, h, theta, diag, s_len)
-                    lo = bxmin if from_x is None else max(bxmin, from_x)
-                    if min(clear, bxmax) > lo + 1e-6:
-                        raise PathConstructionError(
-                            f"the ego is already above home-lane traffic "
-                            f"near x={bxmin:.2f}, but a swerve-out at "
-                            f"x={u:.2f} clears its far edge only at "
-                            f"x={clear:.2f}")
-            # A pinned group is already being overflown; no cosmetic plateau.
-            plateau = 0.0 if pinned else MIN_PLATEAU
-            d = max(u + s_len + plateau,
-                    gxmax - _rise_inv(h - gfar, radius, h, theta, diag, s_len))
-            if d > cap_targets[i] + 1e-9:
-                raise PathConstructionError(
-                    f"no room between home-lane traffic near x={gxmin:.2f} "
-                    f"and adjacent-lane traffic near "
-                    f"x={cap_targets[i]:.2f} for radius-{radius:.2f} m arcs")
-            if d > cap_dip[i] + 1e-9:
-                return i  # dip to the next group does not fit: merge
-            d = min(d, cap_targets[i], cap_dip[i])
-            # The swerve is above an adjacent-lane rectangle's near edge
-            # from its climb to its descent.  Where that span meets the
-            # rectangle ahead of from_x, this group has no placement: a
-            # cap pulled the swerve-out so early that the climb runs into
-            # traffic the right-to-left pass counted as cleared, or, for a
-            # pinned group, the historical swerve already runs beside
-            # traffic that starts too far back to be a cap.
-            for cxmin, cxmax, cnear in constraints:
-                above_from = u + _rise_inv(cnear, radius, h, theta, diag,
-                                           s_len)
-                above_to = d + _rise_inv(h - cnear, radius, h, theta,
-                                         diag, s_len)
-                if (above_from + 1e-6 < cxmax and cxmin + 1e-6 < above_to
-                        and (from_x is None
-                             or min(cxmax, above_to) > from_x + 1e-6)):
-                    if pinned:
-                        raise PathConstructionError(
-                            f"the ego is already above home-lane traffic "
-                            f"near x={gxmin:.2f}, and its swerve runs into "
-                            f"adjacent-lane traffic near x={cxmin:.2f}")
+    # Left-to-right pass: start each swerve no earlier than the last
+    # landing, and refuse a group the caps leave no room for.
+    plan = []
+    prev_land = x_start
+    for grp, gxmin, pinned, u, d, tcap, dcap in reversed(placed):
+        if pinned:
+            # The historical swerve-out lies s_len behind the ego or at the
+            # path's start, whichever is later.  Where its climb reaches a
+            # member's far edge only past that member's leading edge (and
+            # ahead of from_x), it runs through it.
+            for bxmin, bxmax, bfar, _ in grp:
+                clear = u + rise(bfar)
+                lo = bxmin if from_x is None else max(bxmin, from_x)
+                if min(clear, bxmax) > lo + 1e-6:
                     raise PathConstructionError(
-                        f"adjacent-lane traffic near x={cxmin:.2f} "
-                        f"leaves no room to climb before home-lane "
-                        f"traffic near x={gxmin:.2f} for "
-                        f"radius-{radius:.2f} m arcs")
-            plan.append((u, d))
-            prev_land = d + s_len
-        return plan
-
-    while True:
-        outcome = plan_groups()
-        if isinstance(outcome, int):
-            groups[outcome:outcome + 2] = [groups[outcome] + groups[outcome + 1]]
-            continue
-        plan = outcome
-        break
+                        f"the ego is already above home-lane traffic "
+                        f"near x={bxmin:.2f}, but a swerve-out at "
+                        f"x={u:.2f} clears its far edge only at "
+                        f"x={clear:.2f}")
+        elif u < prev_land - 1e-9:
+            raise PathConstructionError(
+                f"obstacle near x={gxmin:.2f} leaves no room to start "
+                f"a radius-{radius:.2f} m turn")
+        else:
+            u = max(u, prev_land)
+            d = max(d, u + s_len + MIN_PLATEAU)
+        if d > tcap + 1e-9:
+            raise PathConstructionError(
+                f"no room between home-lane traffic near x={gxmin:.2f} "
+                f"and adjacent-lane traffic near "
+                f"x={tcap:.2f} for radius-{radius:.2f} m arcs")
+        d = min(d, tcap, dcap)
+        # A swerve still running into adjacent-lane traffic had no group to
+        # its right to merge with: a cap pulled the swerve-out so early that
+        # the climb runs into traffic counted as cleared, or, for a pinned
+        # group, the historical swerve already runs beside traffic that
+        # starts too far back to be a cap.
+        cxmin = traffic_hit(u, d)
+        if cxmin is not None:
+            if pinned:
+                raise PathConstructionError(
+                    f"the ego is already above home-lane traffic "
+                    f"near x={gxmin:.2f}, and its swerve runs into "
+                    f"adjacent-lane traffic near x={cxmin:.2f}")
+            raise PathConstructionError(
+                f"adjacent-lane traffic near x={cxmin:.2f} "
+                f"leaves no room to climb before home-lane "
+                f"traffic near x={gxmin:.2f} for "
+                f"radius-{radius:.2f} m arcs")
+        plan.append((u, d))
+        prev_land = d + s_len
 
     # Assemble segments; junctions are stored once and shared between
     # neighbouring segments so continuity is exact.

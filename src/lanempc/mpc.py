@@ -64,6 +64,11 @@ class MpcConfig:
     def __post_init__(self):
         if not (isinstance(self.Np, int) and 1 <= self.Np <= kernels.MAX_STEPS):
             raise ValueError(f"Np must be an int in 1..{kernels.MAX_STEPS}")
+        for name in ("dt", "a1", "b1", "b2", "b3", "delta_max", "Td_max",
+                     "Tb_max", "obstacle_weight", "solver_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
         for name in ("a1", "b1", "b2", "b3", "obstacle_weight"):

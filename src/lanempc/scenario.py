@@ -181,49 +181,74 @@ def _check_keys(mapping, allowed, where):
             raise ScenarioSchemaError(f"unknown key {key!r} in {where}")
 
 
-def _fields(mapping, table):
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ScenarioSchemaError(
+            f"{where} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _number(value, key, where):
+    """value as a float, if it is a finite JSON number (not a boolean)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ScenarioSchemaError(
+        f"key {key!r} in {where} must be a finite number, got {value!r}")
+
+
+def _fields(mapping, table, where):
     """Keyword arguments, as floats, for the fields that ``table`` maps the
     keys present in ``mapping`` to."""
-    return {table[key]: float(value) for key, value in mapping.items()
-            if key in table}
+    return {table[key]: _number(value, key, where)
+            for key, value in mapping.items() if key in table}
 
 
 def scenario_from_dict(doc):
     """Build a Scenario from a parsed config document (see README schema)."""
-    if not isinstance(doc, dict):
-        raise ScenarioSchemaError("scenario document must be a mapping")
+    _object(doc, "scenario document")
     _check_keys(doc, _TOP_KEYS, "scenario")
     for required in ("road", "ego", "duration"):
         if required not in doc:
             raise ScenarioSchemaError(f"missing key {required!r} in scenario")
 
-    road_doc = doc["road"]
+    road_doc = _object(doc["road"], "key 'road' in scenario")
     _check_keys(road_doc, {*_ROAD_FIELDS, "n_lanes", "upper_boundary_y"},
                 "road")
     if road_doc.get("n_lanes", 2) != 2:
         raise ScenarioSchemaError(
             f"unsupported key 'n_lanes': {road_doc['n_lanes']!r}; a road "
             f"has exactly 2 lanes")
-    road = Road(**_fields(road_doc, _ROAD_FIELDS))
+    road = Road(**_fields(road_doc, _ROAD_FIELDS, "road"))
     if "upper_boundary_y" in road_doc:
-        stated = float(road_doc["upper_boundary_y"])
+        stated = _number(road_doc["upper_boundary_y"], "upper_boundary_y",
+                         "road")
         if abs(stated - road.upper_boundary_y) > 1e-9:
             raise ScenarioSchemaError(
                 f"inconsistent key 'upper_boundary_y': {stated!r} != "
                 f"lower + n_lanes * lane_width = {road.upper_boundary_y!r}")
 
-    ego_doc = doc["ego"]
+    ego_doc = _object(doc["ego"], "key 'ego' in scenario")
     _check_keys(ego_doc, _EGO_FIELDS, "ego")
-    ego = VehicleState(**{"vx": 10.0, **_fields(ego_doc, _EGO_FIELDS)})
+    ego = VehicleState(**{"vx": 10.0, **_fields(ego_doc, _EGO_FIELDS, "ego")})
 
+    obstacle_docs = doc.get("obstacles", [])
+    if not isinstance(obstacle_docs, list):
+        raise ScenarioSchemaError(
+            f"key 'obstacles' in scenario must be a list, got "
+            f"{type(obstacle_docs).__name__}")
     obstacles = []
-    for i, ob_doc in enumerate(doc.get("obstacles", [])):
-        _check_keys(ob_doc, _OBSTACLE_FIELDS, f"obstacles[{i}]")
+    for i, ob_doc in enumerate(obstacle_docs):
+        where = f"obstacles[{i}]"
+        _check_keys(_object(ob_doc, where), _OBSTACLE_FIELDS, where)
         for required in ("x", "y"):
             if required not in ob_doc:
                 raise ScenarioSchemaError(
-                    f"missing key {required!r} in obstacles[{i}]")
-        obstacles.append(Obstacle(**_fields(ob_doc, _OBSTACLE_FIELDS)))
+                    f"missing key {required!r} in {where}")
+        obstacles.append(Obstacle(**_fields(ob_doc, _OBSTACLE_FIELDS, where)))
 
     return Scenario(road=road, obstacles=tuple(obstacles), ego_initial=ego,
-                    duration=float(doc["duration"]))
+                    duration=_number(doc["duration"], "duration", "scenario"))

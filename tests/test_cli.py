@@ -65,6 +65,23 @@ def test_road_other_than_two_lanes_is_a_schema_error(tmp_path, capsys):
     assert "'n_lanes'" in capsys.readouterr().err
 
 
+def test_malformed_scenario_values_exit_one_naming_the_key(tmp_path,
+                                                          capsys):
+    # Python's json writes and reads NaN, so a document can carry one.
+    cases = {"duration": {"road": {}, "ego": {}, "duration": float("nan")},
+             "'road'": {"road": [], "ego": {}, "duration": 5.0},
+             "'vx'": {"road": {}, "ego": {"vx": True}, "duration": 5.0},
+             "'x'": {"road": {}, "ego": {}, "duration": 5.0,
+                     "obstacles": [{"x": None, "y": 0.0}]}}
+    for key, doc in cases.items():
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["run", "--scenario", str(p), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1, key
+        assert key in err and "Traceback" not in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert cli.main(["run", "--scenario", SMALL, "--frobnicate"]) == 1
 
@@ -81,6 +98,15 @@ def test_unparsable_override_value(tmp_path, capsys):
                    "--set", "Np=three"])
     assert rc == 1
     assert "Np" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["dt=nan", "dt=inf", "delta_max=inf"])
+def test_non_finite_override_is_refused(tmp_path, capsys, override):
+    rc = cli.main(["run", "--scenario", SMALL, "--out", str(tmp_path),
+                   "--set", override])
+    assert rc == 1
+    assert f"{override.partition('=')[0]} must be finite" in \
+        capsys.readouterr().err
 
 
 def test_every_numeric_field_is_overridable(tmp_path):

@@ -40,6 +40,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             MpcConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["dt", "b1", "delta_max", "Tb_max",
+                                      "solver_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MpcConfig(**{name: value})
+
 
 class TestPredict:
     def test_straight_line_euler(self, params, cfg):

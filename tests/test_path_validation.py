@@ -275,9 +275,10 @@ def obstacles_in(draw, lane_width):
 
 
 @st.composite
-def layouts(draw):
+def layouts(draw, anchored=True):
     """A two-lane scenario (home lane centred on y = 0) plus the keyword
-    arguments of one build: the first plan, or a mid-run rebuild."""
+    arguments of one build: the first plan, or (if anchored) possibly a
+    mid-run rebuild."""
     w = draw(st.sampled_from([3.0, 3.25, 3.5, 3.75, 4.0]))
     obstacles = draw(st.lists(obstacles_in(w), min_size=1, max_size=4))
     vx = draw(st.floats(8.0, 12.0))
@@ -290,7 +291,7 @@ def layouts(draw):
     except ValueError:
         assume(False)
     anchor = {}
-    if draw(st.booleans()):
+    if anchored and draw(st.booleans()):
         anchor = dict(at_time=draw(st.floats(0.0, 10.0)),
                       ego_x=draw(st.floats(0.0, 100.0)),
                       ego_y=draw(st.floats(-0.5, w + 0.5)),
@@ -432,6 +433,75 @@ def test_pinned_swerve_into_adjacent_lane_traffic_is_refused_by_the_planner(
                                    ego_y=2.0303971179522344,
                                    predict_vx=10.102107077813478)
     assert checked == []
+
+
+# -- merges -----------------------------------------------------------------------
+
+def _parked(*home, adjacent=()):
+    """Default road, ego at x = 0 and vx = 10, parked cars in the home lane
+    (y = 0) and the adjacent lane (y = 3.5) at the given x."""
+    return Scenario(road=Road(),
+                    obstacles=[Obstacle(x0=x, y0=0.0) for x in home]
+                    + [Obstacle(x0=x, y0=3.5) for x in adjacent],
+                    ego_initial=VehicleState(vx=10.0), duration=15.0)
+
+
+def _swerves(path):
+    return sum(seg.kind == "arc" for seg in path.segments) // 4
+
+
+def test_car_the_plan_already_clears_changes_nothing(params):
+    # The plan for the car at x = 21 already clears the one at x = 27.  A
+    # forward pass that met the first car before learning the second must
+    # merge with it used to refuse this ("obstacle near x=17.70 leaves no
+    # room to start a radius-20.39 m turn").
+    one = build_lane_change_path(_parked(21.0), 10.0, params)
+    two = build_lane_change_path(_parked(21.0, 27.0), 10.0, params)
+    assert two.waypoints == one.waypoints
+
+
+def test_gap_that_fits_a_dip_gets_one(params):
+    # The cars at x = 94 and 105 are overflown as one group, and the gap
+    # from 64 to 94 fits a dip: the path returns to the home lane there
+    # instead of flying one swerve from x = 50.67 to 118.33.
+    path = build_lane_change_path(_parked(64.0, 94.0, 105.0), 10.0, params)
+    assert _swerves(path) == 2
+    assert any(64.0 < x < 94.0 and y == 0.0 for x, y in path.waypoints)
+
+
+def test_dip_that_runs_into_adjacent_traffic_is_overflown(params):
+    # A dip between the cars at x = 42 and 71 would pull the first
+    # swerve-out back into the adjacent-lane car at x = 27; the home-lane
+    # cars are overflown in one swerve instead.
+    path = build_lane_change_path(_parked(42.0, 71.0, 93.0, adjacent=(27.0,)),
+                                  10.0, params)
+    assert _swerves(path) == 1
+    assert path.waypoints[1] == pytest.approx((28.67, 0.0), abs=5e-3)
+    assert path.waypoints[6] == pytest.approx((106.33, 0.0), abs=5e-3)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(layouts(anchored=False), st.data())
+def test_car_the_plan_already_clears_keeps_the_layout_plannable(
+        params, layout, data):
+    scenario, vx, _ = layout
+    try:
+        path = build_lane_change_path(scenario, vx, params)
+    except PathConstructionError:
+        assume(False)
+    w = scenario.road.lane_width
+    plateaus = [(a[0], b[0]) for a, b in zip(path.waypoints,
+                                             path.waypoints[1:])
+                if abs(a[1] - w) < 1e-6 and abs(b[1] - w) < 1e-6]
+    assume(plateaus)
+    lo, hi = data.draw(st.sampled_from(plateaus))
+    car = Obstacle(x0=data.draw(st.floats(lo - 5.0, hi + 5.0)), y0=0.0)
+    rect = obstacle_boundary_at(car, 0.0).inflated(DEFAULT_CORNER_MARGIN)
+    assume(not _raises(dubins._validate, path, scenario.road, [rect]))
+    build_lane_change_path(
+        dataclasses.replace(scenario, obstacles=scenario.obstacles + (car,)),
+        vx, params)
 
 
 # -- closed loop ---------------------------------------------------------------

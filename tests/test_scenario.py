@@ -193,3 +193,32 @@ class TestSchema:
         doc = {"road": {"upper_boundary_y": 9.0}, "ego": {}, "duration": 5.0}
         with pytest.raises(ScenarioSchemaError, match="upper_boundary_y"):
             scenario_from_dict(doc)
+
+
+def _doc(**changes):
+    return {"road": {}, "ego": {}, "duration": 5.0, **changes}
+
+
+# (document, key the error must name); each failed with a traceback, ran,
+# or was read silently before values were type-checked.
+MALFORMED = {
+    "null_value": (_doc(obstacles=[{"x": None, "y": 0.0}]), "'x'"),
+    "list_value": (_doc(ego={"vx": [10.0]}), "'vx'"),
+    "section_not_an_object": (_doc(road=[]), "'road'"),
+    "nan_duration": (_doc(duration=math.nan), "'duration'"),
+    "nan_obstacle_x": (_doc(obstacles=[{"x": math.nan, "y": 0.0}]), "'x'"),
+    "obstacles_not_a_list": (_doc(obstacles={"x": 1}), "'obstacles'"),
+    "obstacle_not_an_object": (_doc(obstacles=[7]), r"obstacles\[0\]"),
+    "boolean_value": (_doc(ego={"vx": True}), "'vx'"),
+    "string_value": (_doc(duration="abc"), "'duration'"),
+    "infinite_value": (_doc(road={"upper_boundary_y": math.inf}),
+                       "'upper_boundary_y'"),
+    "integer_beyond_float_range": (_doc(duration=10 ** 400), "'duration'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_value_is_a_schema_error_naming_the_key(case):
+    doc, key = MALFORMED[case]
+    with pytest.raises(ScenarioSchemaError, match=key):
+        scenario_from_dict(doc)
