@@ -27,6 +27,9 @@ TRAJECTORY_COLUMNS = ("t", "vx", "vy", "r", "X", "Y", "psi", "delta_f",
 METRIC_COLUMNS = ("rms_lateral_error", "max_lateral_error", "min_clearance",
                   "yaw_smoothness", "control_saturation_fraction")
 
+# Most control steps, round(duration / dt), that one run may take.
+MAX_STEPS = 100_000
+
 
 class _UsageError(Exception):
     pass
@@ -184,6 +187,9 @@ def main(argv=None):
     params = VehicleParams()
     try:
         cfg, params = _apply_overrides(args.overrides, cfg, params)
+        if round(scenario.duration / cfg.dt) > MAX_STEPS:
+            raise _UsageError(f"duration={scenario.duration!r}, dt={cfg.dt!r}:"
+                              f" more than {MAX_STEPS} control steps")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

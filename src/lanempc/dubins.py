@@ -6,8 +6,8 @@ maximum-lateral-acceleration arcs, pass the blocking traffic, and swerve
 back.  Obstacles in the home lane force swerves; obstacles in the adjacent
 lane bound how long the vehicle may stay there.  Moving obstacles are frozen
 at the position they will occupy when the ego is predicted to reach them
-(constant-speed time-of-arrival estimate), so rebuilding the path every
-control step tracks dynamic traffic.
+(constant-speed time-of-arrival estimate), so rebuilding the path between
+manoeuvres tracks dynamic traffic.
 
 This is deliberately *not* a general shortest-path planner between arbitrary
 poses; only the lane-change family is constructed.  Paths are immutable and
@@ -258,20 +258,19 @@ def _catch_time(obstacle, ego_x, ego_vx, t_now, offset=0.0):
 
 
 def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
-                           ego_y=None, predict_vx=None):
+                           predict_vx=None):
     """Construct the avoidance reference path for a scenario.
 
     vx sets the arc radius (max-lateral-acceleration circle); predict_vx
     (defaulting to vx) is the speed assumed for the time-of-arrival
     prediction of moving obstacles, so mid-run rebuilds can keep the design
     geometry while predicting encounters at the actual speed.  at_time /
-    ego_x / ego_y anchor the prediction; the default builds from the
-    scenario start.  The path itself always starts on the home-lane
-    centreline at the scenario's initial x, but mid-run rebuilds only
-    constrain (and only validate) the geometry ahead of the ego: traffic
-    already passed or already alongside is not plannable-around any more,
-    and an obstacle the ego is currently above keeps only its "stay out
-    until clear of its trailing edge" role.
+    ego_x anchor the prediction; the default builds from the scenario
+    start.  The path always starts on the home-lane centreline at the
+    scenario's initial x and stays on it up to ego_x: a rebuild is made
+    from the home lane, so every swerve starts ahead of the ego, and
+    traffic already passed or already alongside is not plannable-around
+    any more.
 
     Raises PathConstructionError when the obstacle layout leaves no room for
     radius-R arcs.
@@ -287,10 +286,8 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
 
     ego0 = scenario.ego_initial
     x_start = ego0.X
-    ex = x_start if ego_x is None else ego_x
+    ex = x_start if ego_x is None else max(x_start, ego_x)
     pvx = vx if predict_vx is None else predict_vx
-    # Mid-run rebuilds check only the geometry from just behind the ego on.
-    from_x = ex - 1.0 if ego_x is not None else None
 
     # Home lane = nearest centreline to the ego's initial y.
     home = min((0, 1), key=lambda i: abs(ego0.Y - road.centreline_y(i)))
@@ -299,16 +296,12 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
     y_target = road.centreline_y(target)
     sgn = 1.0 if y_target > y_home else -1.0
 
-    # Whether the ego currently sits nearer the adjacent centreline (mid
-    # overtake) than its home one.
-    elevated = ego_y is not None and abs(ego_y - y_target) < abs(ego_y - y_home)
-
     # Freeze each obstacle at its predicted encounter, inflate by the
     # construction margin, classify by which centreline it covers.  Moving
     # obstacles are frozen as the rectangle swept between the moments the
     # ego meets their leading and trailing edges (an overtake at low
     # relative speed spans metres of obstacle motion).
-    blockers = []      # (xmin, xmax, far_edge_height, pinned) in the home lane
+    blockers = []      # (xmin, xmax, far_edge_height) in the home lane
     constraints = []   # (xmin, xmax, near_edge_height) in the adjacent lane
     frozen = []
     for ob in scenario.obstacles:
@@ -328,7 +321,7 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
         else:
             rect = obstacle_boundary_at(ob, at_time).inflated(
                 DEFAULT_CORNER_MARGIN)
-        if rect.xmax < max(x_start, ex):
+        if rect.xmax < ex:
             continue  # strictly behind the ego; cannot constrain what is ahead
         covers_home = rect.ymin <= y_home <= rect.ymax
         covers_target = rect.ymin <= y_target <= rect.ymax
@@ -336,18 +329,13 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
             raise PathConstructionError(
                 "an obstacle blocks both lane centrelines")
         if covers_home:
-            far = rect.ymax - y_home if sgn > 0 else y_home - rect.ymin
             if rect.xmin <= ex:
-                if not elevated:
-                    # Already alongside it in its own lane: no lane-change
-                    # geometry ahead can address this; leave it to the
-                    # clearance metric.
-                    continue
-                # The ego is above this one: its swerve-out is history;
-                # only "stay out until past its trailing edge" still binds.
-                blockers.append((rect.xmin, rect.xmax, far, True))
-            else:
-                blockers.append((rect.xmin, rect.xmax, far, False))
+                # Already alongside it in its own lane: no lane-change
+                # geometry ahead can address this; leave it to the
+                # clearance metric.
+                continue
+            far = rect.ymax - y_home if sgn > 0 else y_home - rect.ymin
+            blockers.append((rect.xmin, rect.xmax, far))
         elif covers_target:
             near = rect.ymin - y_home if sgn > 0 else y_home - rect.ymax
             constraints.append((rect.xmin, rect.xmax, near))
@@ -357,24 +345,18 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
     # Swerve-back caps only matter for descents still ahead of the ego.
     cap_rects = sorted(c for c in constraints if c[0] >= ex - 1.0)
     constraints.sort()
-    # Groups still to decide, left to right.  Rectangles currently being
-    # overflown share one (historical) swerve-out.
-    pinned_members = [b for b in blockers if b[3]]
-    pending = (([pinned_members] if pinned_members else [])
-               + [[b] for b in blockers if not b[3]])
+    pending = [[b] for b in blockers]  # groups still to decide, left to right
 
     def rise(y):
         return _rise_inv(y, radius, h, theta, diag, s_len)
 
     def traffic_hit(u, d):
         """xmin of the first adjacent-lane rectangle that the swerve out at
-        u and back at d runs into ahead of from_x, or None.  The swerve is
-        above a rectangle's near edge from its climb to its descent."""
+        u and back at d runs into, or None.  The swerve is above a
+        rectangle's near edge from its climb to its descent."""
         for cxmin, cxmax, cnear in constraints:
-            above_to = d + rise(h - cnear)
-            if (u + rise(cnear) + 1e-6 < cxmax and cxmin + 1e-6 < above_to
-                    and (from_x is None
-                         or min(cxmax, above_to) > from_x + 1e-6)):
+            if (u + rise(cnear) + 1e-6 < cxmax
+                    and cxmin + 1e-6 < d + rise(h - cnear)):
                 return cxmin
         return None
 
@@ -384,56 +366,38 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
     # already final.  Where the swerve-back lands too late for that climb,
     # or the swerve runs into adjacent-lane traffic, the two groups are
     # taken as one and the merged group is evaluated again.
-    placed = []  # (members, xmin, pinned, swerve-out, swerve-back, caps)
+    placed = []  # (members, xmin, swerve-out, swerve-back, caps)
     while pending:
         grp = pending.pop()
         gxmin = min(b[0] for b in grp)
         gfar = max(b[2] for b in grp)
-        pinned = any(b[3] for b in grp)
-        u_max = max(ex - s_len, x_start) if pinned else gxmin - rise(gfar)
+        u_max = gxmin - rise(gfar)
         # Adjacent-lane rectangles not clearable before the climb cap the
         # swerve-back.
         tcap = min((cxmin - rise(h - cnear)
                     for cxmin, cxmax, cnear in cap_rects
                     if cxmax > u_max + rise(cnear)), default=math.inf)
-        dcap = placed[-1][3] - s_len if placed else math.inf
-        # A pinned group is already being overflown: its swerve-out is not
-        # a free variable any more, and it gets no cosmetic plateau.
-        plateau = 0.0 if pinned else MIN_PLATEAU
-        u = u_max if pinned else min(u_max, min(tcap, dcap) - plateau - s_len)
-        d = max(u + s_len + plateau,
+        dcap = placed[-1][2] - s_len if placed else math.inf
+        u = min(u_max, min(tcap, dcap) - MIN_PLATEAU - s_len)
+        d = max(u + s_len + MIN_PLATEAU,
                 max(b[1] for b in grp) - rise(h - gfar))
         if placed and (d > dcap + 1e-9 or traffic_hit(u, d) is not None):
             pending.append(grp + placed.pop()[0])
         else:
-            placed.append((grp, gxmin, pinned, u, d, tcap, dcap))
+            placed.append((grp, gxmin, u, d, tcap, dcap))
 
     # Left-to-right pass: start each swerve no earlier than the last
-    # landing, and refuse a group the caps leave no room for.
+    # landing (the first no earlier than the ego), and refuse a group the
+    # caps leave no room for.
     plan = []
-    prev_land = x_start
-    for grp, gxmin, pinned, u, d, tcap, dcap in reversed(placed):
-        if pinned:
-            # The historical swerve-out lies s_len behind the ego or at the
-            # path's start, whichever is later.  Where its climb reaches a
-            # member's far edge only past that member's leading edge (and
-            # ahead of from_x), it runs through it.
-            for bxmin, bxmax, bfar, _ in grp:
-                clear = u + rise(bfar)
-                lo = bxmin if from_x is None else max(bxmin, from_x)
-                if min(clear, bxmax) > lo + 1e-6:
-                    raise PathConstructionError(
-                        f"the ego is already above home-lane traffic "
-                        f"near x={bxmin:.2f}, but a swerve-out at "
-                        f"x={u:.2f} clears its far edge only at "
-                        f"x={clear:.2f}")
-        elif u < prev_land - 1e-9:
+    prev_land = ex
+    for grp, gxmin, u, d, tcap, dcap in reversed(placed):
+        if u < prev_land - 1e-9:
             raise PathConstructionError(
                 f"obstacle near x={gxmin:.2f} leaves no room to start "
                 f"a radius-{radius:.2f} m turn")
-        else:
-            u = max(u, prev_land)
-            d = max(d, u + s_len + MIN_PLATEAU)
+        u = max(u, prev_land)
+        d = max(d, u + s_len + MIN_PLATEAU)
         if d > tcap + 1e-9:
             raise PathConstructionError(
                 f"no room between home-lane traffic near x={gxmin:.2f} "
@@ -442,16 +406,9 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
         d = min(d, tcap, dcap)
         # A swerve still running into adjacent-lane traffic had no group to
         # its right to merge with: a cap pulled the swerve-out so early that
-        # the climb runs into traffic counted as cleared, or, for a pinned
-        # group, the historical swerve already runs beside traffic that
-        # starts too far back to be a cap.
+        # the climb runs into traffic counted as cleared.
         cxmin = traffic_hit(u, d)
         if cxmin is not None:
-            if pinned:
-                raise PathConstructionError(
-                    f"the ego is already above home-lane traffic "
-                    f"near x={gxmin:.2f}, and its swerve runs into "
-                    f"adjacent-lane traffic near x={cxmin:.2f}")
             raise PathConstructionError(
                 f"adjacent-lane traffic near x={cxmin:.2f} "
                 f"leaves no room to climb before home-lane "
@@ -519,11 +476,8 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
         waypoints.append(back)
     add_line((x_end, y_home), 0.0)
     waypoints.append((x_end, y_home))
-    deduped = [waypoints[0]]
-    for point in waypoints[1:]:
-        if point != deduped[-1]:
-            deduped.append(point)
-    waypoints = deduped
+    waypoints = [p for i, p in enumerate(waypoints)
+                 if i == 0 or p != waypoints[i - 1]]
 
     offsets = []
     total = 0.0
@@ -534,103 +488,86 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
                          total_length=total, offsets=tuple(offsets),
                          design_speed=vx)
 
-    _validate(path, road, frozen, from_x=from_x)
+    _validate(path, road, frozen)
     return path
 
 
-def _validate(path, road, rects, from_x=None):
+def _validate(path, road, rects):
     """Exact check: stay inside the road, stay out of every frozen rectangle.
 
     The construction rectangles already include the corner margin, so grazing
     contact with them (depth up to _GRAZE) is allowed; actual penetration is
     a construction bug or an unplannable layout and raises.  The road strip
-    is open.  from_x restricts the check to the part of the path still ahead
-    of the ego (x >= from_x) on mid-run rebuilds.
+    is open.
 
     Each segment is cut at its critical arclengths: its ends, its crossings
-    of x = from_x, of each rectangle's edge lines (moved inward by _GRAZE),
-    and, on arcs, the points where x or y is extreme.  Between neighbouring
-    cuts a segment lies wholly inside or wholly outside a rectangle and its
-    y is monotone, so testing the cuts and the midpoints between them
-    decides both checks with no gaps.
+    of each rectangle's edge lines (moved inward by _GRAZE), and, on arcs,
+    the points where x or y is extreme.  Between neighbouring cuts a segment
+    lies wholly inside or wholly outside a rectangle and its y is monotone,
+    so testing the cuts and the midpoints between them decides both checks
+    with no gaps.
     """
     lower = road.lower_boundary_y
     upper = road.upper_boundary_y
     for seg, off in zip(path.segments, path.offsets):
-        for lo, hi in _ahead(seg, from_x):
-            cuts = [lo, hi]
-            if seg.kind == "arc":
-                cuts += _arc_params(seg, _EXTREME_ANGLES, lo, hi)
-            points = [_sample_segment(seg, t)[:2] for t in cuts]
-            for t, (_, y) in zip(cuts, points):
-                if not lower < y < upper:
+        cuts = [0.0, seg.length]
+        if seg.kind == "arc":
+            cuts += _arc_params(seg, _EXTREME_ANGLES)
+        points = [_sample_segment(seg, t)[:2] for t in cuts]
+        for t, (_, y) in zip(cuts, points):
+            if not lower < y < upper:
+                raise PathConstructionError(
+                    f"constructed path leaves the road at "
+                    f"s={off + t:.2f} (y={y:.3f})")
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        for rect in rects:
+            if (x1 <= rect.xmin or x0 >= rect.xmax
+                    or y1 <= rect.ymin or y0 >= rect.ymax):
+                continue  # the segment's bounding box misses the rectangle
+            ts = sorted(cuts
+                        + _crossings(seg, 0, rect.xmin + _GRAZE)
+                        + _crossings(seg, 0, rect.xmax - _GRAZE)
+                        + _crossings(seg, 1, rect.ymin + _GRAZE)
+                        + _crossings(seg, 1, rect.ymax - _GRAZE))
+            ts += [0.5 * (a + b) for a, b in zip(ts, ts[1:])]
+            for t in ts:
+                x, y, _, _ = _sample_segment(seg, t)
+                if rect_signed_distance((x, y), rect) < -_GRAZE:
                     raise PathConstructionError(
-                        f"constructed path leaves the road at "
-                        f"s={off + t:.2f} (y={y:.3f})")
-            xs = [p[0] for p in points]
-            ys = [p[1] for p in points]
-            x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-            for rect in rects:
-                if (x1 <= rect.xmin or x0 >= rect.xmax
-                        or y1 <= rect.ymin or y0 >= rect.ymax):
-                    continue  # the piece's bounding box misses the rectangle
-                ts = sorted(cuts
-                            + _crossings(seg, 0, rect.xmin + _GRAZE, lo, hi)
-                            + _crossings(seg, 0, rect.xmax - _GRAZE, lo, hi)
-                            + _crossings(seg, 1, rect.ymin + _GRAZE, lo, hi)
-                            + _crossings(seg, 1, rect.ymax - _GRAZE, lo, hi))
-                ts += [0.5 * (a + b) for a, b in zip(ts, ts[1:])]
-                for t in ts:
-                    x, y, _, _ = _sample_segment(seg, t)
-                    if rect_signed_distance((x, y), rect) < -_GRAZE:
-                        raise PathConstructionError(
-                            f"constructed path enters an obstacle boundary "
-                            f"at s={off + t:.2f} (x={x:.2f}, y={y:.2f})")
+                        f"constructed path enters an obstacle boundary "
+                        f"at s={off + t:.2f} (x={x:.2f}, y={y:.2f})")
 
 
-def _ahead(seg, from_x):
-    """(lo, hi) local-arclength pieces of a segment on which x >= from_x."""
-    if from_x is None:
-        return ((0.0, seg.length),)
-    cuts = sorted([0.0, seg.length]
-                  + _crossings(seg, 0, from_x, 0.0, seg.length))
-    pieces = [(a, b) for a, b in zip(cuts, cuts[1:])
-              if _sample_segment(seg, 0.5 * (a + b))[0] >= from_x]
-    # A cut can be ahead on its own: an end of a segment that leaves x =
-    # from_x backwards, or an arc's x-extreme that just touches it.
-    covered = {t for piece in pieces for t in piece}
-    return pieces + [(t, t) for t in cuts if t not in covered
-                     and _sample_segment(seg, t)[0] >= from_x]
-
-
-def _crossings(seg, axis, c, lo, hi):
-    """Local arclengths in the open interval (lo, hi) at which the segment's
-    coordinate ``axis`` (0 = x, 1 = y) equals c."""
+def _crossings(seg, axis, c):
+    """Local arclengths strictly inside the segment at which its coordinate
+    ``axis`` (0 = x, 1 = y) equals c."""
     if seg.kind == "line":
         a = seg.start[axis]
         b = seg.end[axis]
         if a == b:
             return []
         t = (c - a) / (b - a) * seg.length
-        return [t] if lo < t < hi else []
+        return [t] if 0.0 < t < seg.length else []
     k = (c - seg.centre[axis]) / seg.radius
     if not -1.0 <= k <= 1.0:
         return []
     if axis == 0:
         phi = math.acos(k)
-        return _arc_params(seg, (phi, -phi), lo, hi)
+        return _arc_params(seg, (phi, -phi))
     phi = math.asin(k)
-    return _arc_params(seg, (phi, math.pi - phi), lo, hi)
+    return _arc_params(seg, (phi, math.pi - phi))
 
 
-def _arc_params(seg, angles, lo, hi):
-    """Local arclengths in (lo, hi) at which an arc passes the given polar
-    angles (seen from its centre)."""
+def _arc_params(seg, angles):
+    """Local arclengths strictly inside an arc at which it passes the given
+    polar angles (seen from its centre)."""
     out = []
     for phi in angles:
         t = ((seg.direction * (phi - seg.start_angle)) % (2.0 * math.pi)
              * seg.radius)
-        if lo < t < hi:
+        if 0.0 < t < seg.length:
             out.append(t)
     return out
 

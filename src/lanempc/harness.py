@@ -77,8 +77,10 @@ def run(scenario, params, cfg, controller="integrated", path=None):
     """Simulate a scenario closed-loop under ``controller`` ("integrated"
     or "two_level") and return the SimulationLog.
 
-    Static-obstacle runs plan the reference once; dynamic runs rebuild it
-    every control step against predicted obstacle positions.  ``path``,
+    Static-obstacle runs plan the reference once.  Dynamic runs rebuild it
+    against predicted obstacle positions at each step where the current plan
+    has the ego on its home-lane straight; in a swerve they drive the plan
+    they have.  ``path``,
     when given, is the initial plan already built at the ego's initial
     speed (as ``build_lane_change_path(scenario, scenario.ego_initial.vx,
     params)`` returns it), so a caller that has it is spared a rebuild.
@@ -102,18 +104,17 @@ def run(scenario, params, cfg, controller="integrated", path=None):
     control = _CONTROLLERS[controller](scenario, params, cfg)
     for k in range(n_steps + 1):
         t = k * cfg.dt
-        if dynamic and k > 0:
+        if dynamic and k > 0 and _on_home_straight(path, state):
             try:
                 # Rebuilt at the manoeuvre design speed: the arc radius and
                 # arrival predictions stay consistent even as the actual
                 # speed drifts (the cost has no speed setpoint).
                 path = build_lane_change_path(scenario, design_vx, params,
                                               at_time=t, ego_x=state.X,
-                                              ego_y=state.Y,
                                               predict_vx=state.vx)
             except PathConstructionError:
-                # Transiently boxed in: drive the last feasible plan and let
-                # the clearance metric judge the outcome.
+                # Boxed in: drive the last feasible plan and let the
+                # clearance metric judge the outcome.
                 pass
         try:
             u, cost, (ref_x, ref_y), converged = control(state, path, t)
@@ -130,6 +131,13 @@ def run(scenario, params, cfg, controller="integrated", path=None):
             except (dynamics.LowSpeedError, dynamics.PlantFailureError) as exc:
                 abort(f"plant failure at t={t:.2f}: {exc}")
     return SimulationLog(tuple(rows), cfg.dt, controller)
+
+
+def _on_home_straight(path, state):
+    """Whether the plan point nearest the ego is on the home straight."""
+    s, _ = nearest_arclength(path, state.X, state.Y)
+    _, y, _, curvature = sample_reference(path, s)
+    return curvature == 0.0 and y == path.waypoints[0][1]
 
 
 def _integrated(scenario, params, cfg):

@@ -1,7 +1,8 @@
 """The benchmark runner (perfbench/run.py) still reads what it needs from
 the package: the kernel registry, the MpcConfig properties it passes on,
-and horizon_cost's positional signature.  A change that breaks any of them
-fails here rather than only in a benchmark run."""
+horizon_cost's positional signature, and every function its tracer
+(perfbench/layers.py) wraps.  A change that breaks any of them fails here
+rather than only in a benchmark run."""
 
 import importlib.util
 import math
@@ -13,7 +14,8 @@ import pytest
 import lanempc
 from lanempc import kernels
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +45,29 @@ def test_host_reference_times_every_backend(bench):
         assert len(timing["batches_us"]) == bench.HOST_REF_BATCHES
         assert math.isfinite(timing["us_per_call"])
         assert timing["us_per_call"] > 0.0
+
+
+def test_tracer_finds_every_site_of_a_dynamic_run(bench, tmp_path):
+    # Two traced CLI runs of the dynamic scenario, which rebuilds its plan:
+    # every wrapped function exists, and the counts repeat exactly.
+    from lanempc import cli
+
+    layers = bench.layers
+    scenario = ROOT / "scenarios" / "dynamic_three_vehicle.json"
+    counts = []
+    for run_id in (1, 2):
+        out = tmp_path / str(run_id)
+        tracer = layers.Tracer(run_id)
+        tracer.install()
+        try:
+            rc = cli.main(["run", "--scenario", str(scenario), "--controller",
+                           "integrated", "--out", str(out)])
+        finally:
+            tracer.uninstall()
+        assert rc == 0
+        assert tracer.absent == []
+        written = sum(f.stat().st_size for f in out.iterdir())
+        counts.append(layers.counts(tracer.metrics(written)))
+    assert counts[0] == counts[1]
+    assert counts[0]["harness.steps"] == 151
+    assert counts[0]["dubins.build_lane_change_path.calls"] == 71

@@ -109,6 +109,24 @@ def test_non_finite_override_is_refused(tmp_path, capsys, override):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration,overrides,named", [
+    (1e9, [], "duration=1000000000.0, dt=0.1"),
+    (6.0, ["--set", "dt=1e-9"], "duration=6.0, dt=1e-09"),
+], ids=["duration", "dt"])
+def test_run_of_too_many_steps_is_refused(tmp_path, capsys, duration,
+                                          overrides, named):
+    # 10^10 and 6·10^9 control steps: refused at once instead of simulated.
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps({"road": {}, "ego": {}, "duration": duration}))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", str(p), "--out", str(out),
+                   *overrides])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{named}: more than 100000 control steps" in err
+    assert not out.exists()
+
+
 def test_every_numeric_field_is_overridable(tmp_path):
     # Exhaustive: every numeric field of both config dataclasses round-trips
     # through --set (identity values; --dump-path avoids simulating).

@@ -4,7 +4,8 @@ import pytest
 
 from lanempc import harness
 from lanempc.dubins import (PathConstructionError, build_lane_change_path,
-                            reference_for_horizon)
+                            nearest_arclength, reference_for_horizon,
+                            sample_reference)
 from lanempc.dynamics import VehicleState
 from lanempc.harness import (LogRow, Metrics, SimulationAborted,
                              SimulationLog, compute_metrics, run)
@@ -127,6 +128,10 @@ class TestRunContracts:
         for (_, before), (given, _) in zip(calls, calls[1:]):
             assert given is before.hessian and given is not None
 
+    # Steps after the first at which the ego, driving the first plan of the
+    # shipped dynamic scenario throughout, is on its home straight.
+    HOME_STRAIGHT_STEPS = {"integrated": 70, "two_level": 65}
+
     @pytest.mark.parametrize("controller", CONTROLLERS)
     def test_refused_rebuild_drives_the_last_plan(self, params, cfg,
                                                   dynamic_scenario,
@@ -146,9 +151,47 @@ class TestRunContracts:
                             lambda *args, **kwargs: path0)
         reused = run(dynamic_scenario, params, cfg, controller=controller,
                      path=path0)
-        assert len(refusals) == 150
+        assert len(refusals) == self.HOME_STRAIGHT_STEPS[controller]
         assert len(stale.rows) == 151
         assert stale == reused
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_rebuilds_only_on_the_home_straight(self, params, cfg,
+                                                dynamic_scenario,
+                                                monkeypatch, controller):
+        # A rebuild happens at a step exactly when the plan driven so far
+        # has its point nearest the ego on the home-lane centreline, off
+        # the arcs and diagonals of a swerve.
+        rebuilds = {}   # step -> rebuilt plan, or None if refused
+
+        def spy(*args, **kwargs):
+            k = round(kwargs["at_time"] / cfg.dt)
+            rebuilds[k] = None
+            rebuilds[k] = build_lane_change_path(*args, **kwargs)
+            return rebuilds[k]
+
+        plan = build_lane_change_path(
+            dynamic_scenario, dynamic_scenario.ego_initial.vx, params)
+        monkeypatch.setattr(harness, "build_lane_change_path", spy)
+        log = run(dynamic_scenario, params, cfg, controller=controller,
+                  path=plan)
+        for k, row in enumerate(log.rows[1:], start=1):
+            s, _ = nearest_arclength(plan, row.state.X, row.state.Y)
+            _, y, _, curvature = sample_reference(plan, s)
+            home = curvature == 0.0 and y == plan.waypoints[0][1]
+            assert (k in rebuilds) == home, row.t
+            plan = rebuilds.get(k) or plan
+        assert 0 < len(rebuilds) < len(log.rows) - 1
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_reference_moves_laterally_at_most_one_step_of_travel(
+            self, params, cfg, dynamic_scenario, controller):
+        # A rebuild never moves the reference across a lane: consecutive
+        # logged references differ in y by at most what the ego drives in
+        # one step.
+        log = run(dynamic_scenario, params, cfg, controller=controller)
+        for a, b in zip(log.rows, log.rows[1:]):
+            assert abs(b.ref_y - a.ref_y) <= b.state.vx * cfg.dt, b.t
 
 
 class TestBaseline:

@@ -28,7 +28,7 @@ from lanempc.scenario import (Obstacle, Rect, Road, Scenario,
 OLD_DS = 0.05
 
 
-def _dense_validate(path, road, rects, from_x=None, ds=OLD_DS):
+def _dense_validate(path, road, rects, ds=OLD_DS):
     """Dense sweep: stay inside the road, stay out of every rectangle.
 
     Same contract and messages as ``dubins._validate``, decided at samples
@@ -38,8 +38,6 @@ def _dense_validate(path, road, rects, from_x=None, ds=OLD_DS):
     for i in range(n + 1):
         s = min(path.total_length, path.total_length * i / n)
         x, y, _, _ = sample_reference(path, s)
-        if from_x is not None and x < from_x:
-            continue
         if not (road.lower_boundary_y < y < road.upper_boundary_y):
             raise PathConstructionError(
                 f"constructed path leaves the road at s={s:.2f} (y={y:.3f})")
@@ -134,39 +132,37 @@ def validation_cases(draw):
     rects = draw(st.lists(rect_near(path), min_size=1, max_size=3))
     lower = draw(st.floats(-8.0, -2.0))
     road = Road(lane_width=draw(st.floats(2.0, 6.0)), lower_boundary_y=lower)
-    from_x = draw(st.none() | st.floats(-6.0, 6.0))
-    return path, road, rects, from_x
+    return path, road, rects
 
 
-def _loosened(road, rects, from_x, d):
+def _loosened(road, rects, d):
     """The same checks, each boundary moved by d toward accepting more."""
     return (Road(lane_width=road.lane_width - d,
                  lower_boundary_y=road.lower_boundary_y + d),
-            [r.inflated(d) for r in rects],
-            None if from_x is None else from_x - d)
+            [r.inflated(d) for r in rects])
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(validation_cases())
 def test_exact_check_agrees_with_fine_oracle(case):
-    path, road, rects, from_x = case
+    path, road, rects = case
     ds = 0.005
     # The road alone, each rectangle alone (on a road wide enough not to
     # matter), and everything together.
     for r, rs in [(road, [])] + [(WIDE_ROAD, [r]) for r in rects] \
             + [(road, rects)]:
-        exact = _raises(dubins._validate, path, r, rs, from_x)
+        exact = _raises(dubins._validate, path, r, rs)
         # Every sample is a path point: what the sweep finds, the exact
         # check finds.
-        if _raises(_dense_validate, path, r, rs, from_x, ds):
+        if _raises(_dense_validate, path, r, rs, ds):
             assert exact
         # A violation the exact check finds lies within ds/2 of a sample,
         # so the sweep sees it once every boundary is moved by ds/2.  (The
-        # plain sweep misses violations shorter than ds: a corner clipped
-        # over 1e-11 m, an arc whose x-extreme touches from_x.)
+        # plain sweep misses violations shorter than ds, such as a corner
+        # clipped over 1e-11 m.)
         elif exact:
             assert _raises(_dense_validate, path,
-                           *_loosened(r, rs, from_x, 0.5 * ds), ds)
+                           *_loosened(r, rs, 0.5 * ds), ds)
 
 
 class TestConstructedCases:
@@ -231,32 +227,6 @@ class TestConstructedCases:
             dubins._validate(path, Road(lane_width=10.0, lower_boundary_y=0.0),
                              [])
 
-    def test_from_x_clipping(self):
-        path = _path_of(_line((0.0, 0.0), (100.0, 0.0)),
-                        _arc((100.0, 10.0), 10.0, -0.5 * math.pi, math.pi),
-                        _line((100.0, 20.0), (0.0, 20.0)))
-        road = Road(lane_width=15.0, lower_boundary_y=-5.0)
-        rect = Rect(10.0, -1.0, 12.0, 1.0)   # on the first line
-        for check in (dubins._validate, _dense_validate):
-            check(path, road, [rect], from_x=20.0)   # behind: ignored
-            for from_x in (11.0, 5.0, None):         # ahead: raises
-                with pytest.raises(PathConstructionError):
-                    check(path, road, [rect], from_x=from_x)
-        # Ahead of from_x = 109.5 only the arc's far side is left, x up to
-        # 110 and y between 6.9 and 13.1.
-        side = Rect(109.0, 7.0, 111.0, 8.0)
-        back = Rect(50.0, 19.0, 52.0, 21.0)   # on the return line
-        dubins._validate(path, road, [side, back], from_x=109.9)
-        dubins._validate(path, road, [back], from_x=109.5)
-        with pytest.raises(PathConstructionError):
-            dubins._validate(path, road, [side], from_x=109.5)
-        # The road too: the arc's top and the return line leave a strip
-        # ending at y = 15, but ahead of x = 109 the arc stays below 14.4.
-        narrow = Road(lane_width=10.0, lower_boundary_y=-5.0)
-        dubins._validate(path, narrow, [], from_x=109.0)
-        with pytest.raises(PathConstructionError, match="leaves the road"):
-            dubins._validate(path, narrow, [], from_x=108.0)
-
 
 # -- planner fuzzing -------------------------------------------------------------
 
@@ -278,7 +248,7 @@ def obstacles_in(draw, lane_width):
 def layouts(draw, anchored=True):
     """A two-lane scenario (home lane centred on y = 0) plus the keyword
     arguments of one build: the first plan, or (if anchored) possibly a
-    mid-run rebuild."""
+    mid-run rebuild from the home lane."""
     w = draw(st.sampled_from([3.0, 3.25, 3.5, 3.75, 4.0]))
     obstacles = draw(st.lists(obstacles_in(w), min_size=1, max_size=4))
     vx = draw(st.floats(8.0, 12.0))
@@ -294,21 +264,19 @@ def layouts(draw, anchored=True):
     if anchored and draw(st.booleans()):
         anchor = dict(at_time=draw(st.floats(0.0, 10.0)),
                       ego_x=draw(st.floats(0.0, 100.0)),
-                      ego_y=draw(st.floats(-0.5, w + 0.5)),
                       predict_vx=draw(st.floats(6.0, 13.0)))
     return scenario, vx, anchor
 
 
-def _mirrored(scenario, anchor):
+def _mirrored(scenario):
     road = scenario.road
     ego = scenario.ego_initial
-    return (Scenario(road=Road(lane_width=road.lane_width,
-                               lower_boundary_y=-road.upper_boundary_y),
-                     obstacles=[dataclasses.replace(o, y0=-o.y0)
-                                for o in scenario.obstacles],
-                     ego_initial=dataclasses.replace(ego, Y=-ego.Y),
-                     duration=scenario.duration),
-            {k: -v if k == "ego_y" else v for k, v in anchor.items()})
+    return Scenario(road=Road(lane_width=road.lane_width,
+                              lower_boundary_y=-road.upper_boundary_y),
+                    obstacles=[dataclasses.replace(o, y0=-o.y0)
+                               for o in scenario.obstacles],
+                    ego_initial=dataclasses.replace(ego, Y=-ego.Y),
+                    duration=scenario.duration)
 
 
 def _build_spied(scenario, vx, params, **anchor):
@@ -316,9 +284,9 @@ def _build_spied(scenario, vx, params, **anchor):
     seen = []
     real = dubins._validate
 
-    def spy(path, road, rects, from_x=None):
-        seen.append((road, rects, from_x))
-        real(path, road, rects, from_x)
+    def spy(path, road, rects):
+        seen.append((road, rects))
+        real(path, road, rects)
 
     with mock.patch.object(dubins, "_validate", spy):
         try:
@@ -344,9 +312,12 @@ def test_fuzzed_layouts_plan_valid_paths(params, layout):
     path, checked = _build_spied(scenario, vx, params, **anchor)
     if path is not None:
         _dense_validate(path, *checked)
+        # A rebuild is made from the home lane: every swerve starts ahead
+        # of the ego.
+        swerves = [seg.start[0] for seg in path.segments if seg.kind == "arc"]
+        assert min(swerves, default=math.inf) >= anchor.get("ego_x", -math.inf)
 
-    m_scenario, m_anchor = _mirrored(scenario, anchor)
-    mirror, _ = _build_spied(m_scenario, vx, params, **m_anchor)
+    mirror, _ = _build_spied(_mirrored(scenario), vx, params, **anchor)
     assert (mirror is None) == (path is None)
     if path is not None:
         assert mirror.segments == tuple(_mirror_of(s) for s in path.segments)
@@ -374,65 +345,6 @@ def test_climb_into_adjacent_lane_traffic_is_refused_by_the_planner(params):
     with pytest.raises(PathConstructionError,
                        match="adjacent-lane traffic near x=55.36"):
         build_lane_change_path(sc, 8.0, params)
-
-
-def test_climb_through_pinned_obstacle_is_refused_by_the_planner(params):
-    # Found by the fuzzing above.  A rebuild finds the ego at x = 9, above
-    # the home-lane rectangle from x = 8.70 on.  The path cannot start its
-    # climb before x = 0, and from there it clears the rectangle's far edge
-    # only at x = 9.55, inside it.  The validator used to be the only check
-    # to refuse this ("enters an obstacle boundary at s=8.96").
-    def scenario(x_start):
-        return Scenario(road=Road(lane_width=3.0, lower_boundary_y=-1.5),
-                        obstacles=(Obstacle(x0=12.0, y0=0.0),),
-                        ego_initial=VehicleState(vx=9.0, X=x_start),
-                        duration=15.0)
-
-    checked = []
-    with mock.patch.object(dubins, "_validate",
-                           lambda *args: checked.append(args)):
-        with pytest.raises(PathConstructionError,
-                           match=r"above home-lane traffic near x=8\.70, "
-                                 r"but a swerve-out at x=0\.00 clears"):
-            build_lane_change_path(scenario(0.0), 9.0, params, ego_x=9.0,
-                                   ego_y=2.0)
-    assert checked == []
-    # With room behind the ego the climb ends where the ego is.
-    path = build_lane_change_path(scenario(-20.0), 9.0, params, ego_x=9.0,
-                                  ego_y=2.0)
-    assert path.waypoints[3] == pytest.approx((9.0, 3.0))
-
-
-def test_pinned_swerve_into_adjacent_lane_traffic_is_refused_by_the_planner(
-        params):
-    # Found by fuzzing with anchors anywhere on the road.  A rebuild finds
-    # the ego at x = 82.10, above the ramping home-lane obstacle and inside
-    # the static adjacent-lane rectangle from x = 79.12 on.  That rectangle
-    # starts behind x = ego_x - 1, so it caps no swerve-back, and the
-    # validator used to be the only check to refuse the path ("enters an
-    # obstacle boundary at s=81.45").
-    sc = Scenario(road=Road(lane_width=3.25, lower_boundary_y=-1.625),
-                  obstacles=(Obstacle(x0=82.4181968397236, y0=3.25),
-                             Obstacle(x0=44.162043890657706, y0=0.0,
-                                      initial_speed=3.292454580329608,
-                                      target_speed=6.287745741191743,
-                                      acceleration=0.4816378759374985)),
-                  ego_initial=VehicleState(vx=11.637652743610907,
-                                           Y=-0.0506857641090416),
-                  duration=15.0)
-    checked = []
-    with mock.patch.object(dubins, "_validate",
-                           lambda *args: checked.append(args)):
-        with pytest.raises(PathConstructionError,
-                           match=r"above home-lane traffic near x=81\.81, "
-                                 r"and its swerve runs into adjacent-lane "
-                                 r"traffic near x=79\.12"):
-            build_lane_change_path(sc, 11.637652743610907, params,
-                                   at_time=7.993495828637562,
-                                   ego_x=82.10044711355712,
-                                   ego_y=2.0303971179522344,
-                                   predict_vx=10.102107077813478)
-    assert checked == []
 
 
 # -- merges -----------------------------------------------------------------------
@@ -504,22 +416,41 @@ def test_car_the_plan_already_clears_keeps_the_layout_plannable(
         vx, params)
 
 
+# -- rebuilds ------------------------------------------------------------------
+
+def test_rebuild_that_would_swerve_behind_the_ego_is_refused(params):
+    # The first plan around a parked car swerves out at x = 26.67.  A
+    # rebuild with the ego there gives the same plan; one with the ego 1 m
+    # further on would need a swerve that started behind the ego.
+    sc = _parked(40.0)
+    first = build_lane_change_path(sc, 10.0, params)
+    u = first.waypoints[1][0]
+    assert u == pytest.approx(26.67, abs=5e-3)
+    assert build_lane_change_path(sc, 10.0, params, ego_x=u) == first
+    with pytest.raises(PathConstructionError,
+                       match="no room to start a radius-20.39 m turn"):
+        build_lane_change_path(sc, 10.0, params, ego_x=u + 1.0)
+
+
 # -- closed loop ---------------------------------------------------------------
+
+PLANS_PER_DYNAMIC_RUN = {"integrated": 71, "two_level": 66}
+
 
 @pytest.mark.parametrize("controller", ["integrated", "two_level"])
 def test_closed_loop_equals_dense_sweep_run(params, cfg, dynamic_scenario,
                                             controller):
-    """The dynamic scenario rebuilds its path every step; swapping the
-    exact check for the old 0.05 m sweep changes nothing in the log."""
+    """The dynamic scenario rebuilds its path between manoeuvres; swapping
+    the exact check for the old 0.05 m sweep changes nothing in the log."""
     logs = []
     for check in (dubins._validate, _dense_validate):
         calls = []
         raised = []
 
-        def counted(path, road, rects, from_x=None, check=check):
-            calls.append(from_x)
+        def counted(path, road, rects, check=check):
+            calls.append(rects)
             try:
-                check(path, road, rects, from_x)
+                check(path, road, rects)
             except PathConstructionError as exc:
                 raised.append(exc)
                 raise
@@ -527,6 +458,7 @@ def test_closed_loop_equals_dense_sweep_run(params, cfg, dynamic_scenario,
         with mock.patch.object(dubins, "_validate", counted):
             logs.append(run(dynamic_scenario, params, cfg,
                             controller=controller))
-        assert len(calls) == len(logs[-1].rows)  # first plan + rebuilds
+        # The first plan and one rebuild per home-straight step.
+        assert len(calls) == PLANS_PER_DYNAMIC_RUN[controller]
         assert raised == []
     assert logs[0] == logs[1]

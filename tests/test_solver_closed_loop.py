@@ -17,13 +17,13 @@ from shipped import load_scenario
 SCENARIOS = {"static": "static_three_vehicle",
              "dynamic": "dynamic_three_vehicle"}
 # Mean kernel evaluations per control step, each the measured value plus a
-# small margin: at the default Np=3, 6.12 (static) and 5.83 (dynamic), the
+# small margin: at the default Np=3, 6.12 (static) and 5.60 (dynamic), the
 # first step's difference seed included.
-MAX_MEAN_EVAL = {"static": 6.5, "dynamic": 6.2}
-# The same at longer horizons: measured 8.62 / 6.46 at Np=5 and
-# 23.28 / 12.11 at Np=8.
-MAX_MEAN_EVAL_LONGER = {("static", 5): 9.0, ("dynamic", 5): 6.8,
-                        ("static", 8): 24.5, ("dynamic", 8): 12.7}
+MAX_MEAN_EVAL = {"static": 6.5, "dynamic": 5.9}
+# The same at longer horizons: measured 8.62 / 7.66 at Np=5 and
+# 23.28 / 14.56 at Np=8.
+MAX_MEAN_EVAL_LONGER = {("static", 5): 9.0, ("dynamic", 5): 8.0,
+                        ("static", 8): 24.5, ("dynamic", 8): 15.3}
 
 
 def _recorded_solves(scenario_name, params, cfg):
