@@ -6,8 +6,8 @@
 Loads a scenario document (JSON; schema in the README), runs the requested
 controller(s), and writes CSV logs plus a metrics summary.  Exit codes:
 0 collision-free completion, 1 usage/config error, 2 collision,
-3 solver/plant abort (its message also reports a collision that came
-before the abort).
+3 solver/plant abort (its message also reports a collision, or a road
+boundary line reached, before the abort).
 """
 
 import argparse
@@ -29,6 +29,11 @@ METRIC_COLUMNS = ("rms_lateral_error", "max_lateral_error", "min_clearance",
 
 # Most control steps, round(duration / dt), that one run may take.
 MAX_STEPS = 100_000
+
+# Most rows of reference_path.csv.  The path runs at least vx * duration
+# past the ego's start, one row per dubins.SAMPLE_SPACING: a run at
+# MAX_STEPS with the default dt at 10 m/s fits.
+MAX_PATH_ROWS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -153,6 +158,19 @@ def _summary_line(name, metrics):
             f"saturation={metrics.control_saturation_fraction:.3f}")
 
 
+def _left_road_note(rows, road):
+    """The abort message's note when a logged Y is on or beyond a road
+    boundary line: the line, the worst Y and its time; otherwise ''."""
+    lo, hi = road.lower_boundary_y, road.upper_boundary_y
+    worst = min(rows, key=lambda row: min(row.state.Y - lo, hi - row.state.Y))
+    y = worst.state.Y
+    if lo < y < hi:
+        return ""
+    name, line = ("lower", lo) if y - lo <= hi - y else ("upper", hi)
+    return (f"; road boundary reached before the abort: Y={y:.4f} m at "
+            f"t={worst.t:.2f} against the {name} line at y={line:.4f} m")
+
+
 def main(argv=None):
     """Run the CLI; returns the process exit code."""
     parser = _build_parser()
@@ -190,6 +208,11 @@ def main(argv=None):
         if round(scenario.duration / cfg.dt) > MAX_STEPS:
             raise _UsageError(f"duration={scenario.duration!r}, dt={cfg.dt!r}:"
                               f" more than {MAX_STEPS} control steps")
+        vx = scenario.ego_initial.vx
+        if abs(vx) * scenario.duration > MAX_PATH_ROWS * dubins.SAMPLE_SPACING:
+            raise _UsageError(
+                f"duration={scenario.duration!r}, ego vx={vx!r}: a reference "
+                f"path of more than {MAX_PATH_ROWS} rows")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -202,6 +225,11 @@ def main(argv=None):
         print(f"error: cannot plan a path for this scenario: {exc}",
               file=sys.stderr)
         return 3
+    if path.total_length > MAX_PATH_ROWS * dubins.SAMPLE_SPACING:
+        # Far obstacles stretch the plan past vx * duration.
+        print(f"error: the planned path is {path.total_length:.1f} m long: "
+              f"more than {MAX_PATH_ROWS} rows", file=sys.stderr)
+        return 1
     write_path_csvs(args.out, path)
     if args.dump_path:
         print(f"wrote reference_path.csv and waypoints.csv to {args.out}")
@@ -224,6 +252,7 @@ def main(argv=None):
                     message += (f"; collision before the abort: min "
                                 f"clearance {worst.clearance:.4f} m at "
                                 f"t={worst.t:.2f}")
+                message += _left_road_note(exc.log.rows, scenario.road)
             print(message, file=sys.stderr)
             return 3
         write_trajectory_csv(

@@ -80,10 +80,10 @@ def run(scenario, params, cfg, controller="integrated", path=None):
     Static-obstacle runs plan the reference once.  Dynamic runs rebuild it
     against predicted obstacle positions at each step where the current plan
     has the ego on its home-lane straight; in a swerve they drive the plan
-    they have.  ``path``,
-    when given, is the initial plan already built at the ego's initial
-    speed (as ``build_lane_change_path(scenario, scenario.ego_initial.vx,
-    params)`` returns it), so a caller that has it is spared a rebuild.
+    they have.  ``path``, when given, is the initial plan already built at
+    the ego's initial speed (as ``build_lane_change_path(scenario,
+    scenario.ego_initial.vx, params)`` returns it), so a caller that has it
+    is spared a rebuild.
     Raises SimulationAborted (with the partial log attached) on plant
     failure or persistent solver failure.
     """

@@ -120,6 +120,9 @@ class SolveResult:
     fallback: bool       # solver could not produce a finite cost
     n_eval: int          # value-and-gradient evaluations, every start run
     hessian: tuple = None  # curvature estimate for the next step's solve
+    iterations: int = 0  # accepted steps of the kept solve
+    stop: str = None     # the kept solve's BoxResult.stop
+    residual: float = None  # the kept solve's BoxResult.residual
 
 
 def flatten_pairs(pairs):
@@ -269,9 +272,11 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0,
                     for i in range(cfg.Np))
         return SolveResult(u0=seq[0], sequence=seq, cost=best.fun, refs=refs,
                            converged=False, fallback=True, n_eval=n_eval,
-                           hessian=hessian)
+                           hessian=hessian, iterations=best.iterations,
+                           stop=best.stop, residual=best.residual)
 
     seq = tuple((best.x[2 * i], best.x[2 * i + 1]) for i in range(cfg.Np))
     return SolveResult(u0=seq[0], sequence=seq, cost=best.fun, refs=refs,
                        converged=best.converged, fallback=False, n_eval=n_eval,
-                       hessian=best.hessian)
+                       hessian=best.hessian, iterations=best.iterations,
+                       stop=best.stop, residual=best.residual)

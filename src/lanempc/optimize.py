@@ -29,6 +29,8 @@ class BoxResult:
     iterations: int
     n_eval: int
     hessian: tuple       # final B in x units, rows; 0.0 where a span is 0
+    stop: str            # why the iteration ended (see minimize_box)
+    residual: float      # span-scaled projected-gradient maximum at x
 
 
 def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
@@ -37,25 +39,31 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
 
     fg takes a list of floats and returns ``(value, gradient)``; a value of
     +inf (gradient ignored) rejects the point.  The iteration keeps a dense
-    Hessian estimate B in span-normalised coordinates, frees the
-    coordinates whose gradient points into the box, takes the direction
-    from a Cholesky solve with B's free block, steps along the projection
-    arc with Armijo backtracking, and falls back to steepest descent (and
-    B to the identity) when that block is not positive definite or the
-    direction does not descend.  Near a minimum, where trial values differ
-    from the current one only by rounding, the sufficient-decrease test is
-    made on the gradients.
+    Hessian estimate B in span-normalised coordinates, exactly symmetric
+    and updated in place, frees the coordinates whose gradient points into
+    the box, takes the direction from a Cholesky solve with B's free block,
+    steps along the projection arc with Armijo backtracking, and falls back
+    to steepest descent (and B to the identity) when that block is not
+    positive definite or the direction does not descend.  Near a minimum,
+    where trial values differ from the current one only by rounding, the
+    sufficient-decrease test is made on the gradients.
 
     hessian, when given, is an initial estimate of the Hessian in x's own
     units (a list of rows), for instance the ``hessian`` of an earlier
-    result on a nearby problem; B starts from it instead of the identity.
+    result on a nearby problem; B starts from its symmetric part
+    ``(h + h') / 2`` instead of the identity.
 
     Returns a BoxResult whose x lies exactly inside the box (clipping, not
     tolerance) and whose fun never exceeds the value at the clipped start.
-    converged is True exactly when the span-scaled projected gradient's
-    largest entry is at most ``tol * (1 + |fun|)``.  n_eval counts calls of
-    fg; iterations counts accepted steps.  hessian is B when the iteration
-    stopped, in x units, or the given estimate when the start is not finite.
+    residual is the span-scaled projected gradient's largest entry at x
+    (inf at a non-finite start).  stop is why the iteration ended:
+    "tolerance" (residual at most ``tol * (1 + |fun|)``), "iteration_cap",
+    "line_search" (no acceptable step) or "nonfinite_start".  converged is
+    ``stop == "tolerance"``, except that steps judged by gradients that end
+    a rounding error above the start return the start, unconverged.  n_eval
+    counts calls of fg; iterations counts accepted steps.  hessian is B
+    when the iteration stopped, in x units, or the given estimate when the
+    start is not finite.
     """
     n = len(x0)
     if len(lower) != n or len(upper) != n:
@@ -65,42 +73,42 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
             raise ValueError(f"lower[{j}] > upper[{j}]")
     span = [upper[j] - lower[j] for j in range(n)]
     rng = range(n)
+    movable = [j for j in rng if span[j] != 0.0]
 
-    def clip(v, j):
-        return min(upper[j], max(lower[j], v))
-
-    x = [clip(x0[j], j) for j in rng]
+    x = [min(hi, max(lo, v)) for v, lo, hi in zip(x0, lower, upper)]
     fx, gx = fg(x)
     evals = 1
     if not math.isfinite(fx):
-        return BoxResult(tuple(x), fx, False, 0, evals, hessian)
-    identity = [[1.0 if a == b else 0.0 for b in rng] for a in rng]
-    b_mat = identity if hessian is None else [
-        [hessian[a][b] * (span[a] * span[b]) for b in rng] for a in rng]
+        return BoxResult(tuple(x), fx, False, 0, evals, hessian,
+                         "nonfinite_start", math.inf)
+    b_mat = [[float(a == b) for b in rng] for a in rng] if hessian is None \
+        else [[0.5 * (u + w) * (sa * sb) for u, w, sb in zip(row, col, span)]
+              for row, col, sa in zip(hessian, zip(*hessian), span)]
     x_start, f_start = tuple(x), fx
     g = [gx[j] * span[j] for j in rng]
 
     iterations = 0
-    converged = False
     while True:
         # Projected gradient: the part of -g the box lets the point follow.
         pg = 0.0
         free = []
-        for j in rng:
-            if span[j] == 0.0:
+        for j in movable:
+            gj = g[j]
+            if gj > 0.0 and x[j] == lower[j]:
                 continue
-            if x[j] == lower[j] and g[j] > 0.0:
-                continue
-            if x[j] == upper[j] and g[j] < 0.0:
+            if gj < 0.0 and x[j] == upper[j]:
                 continue
             free.append(j)
-            a = abs(g[j])
+            a = abs(gj)
             if a > pg:
                 pg = a
+        if not iterations:
+            pg_start = pg
         if pg <= tol * (1.0 + abs(fx)):
-            converged = True
+            stop = "tolerance"
             break
         if iterations >= max_iter:
+            stop = "iteration_cap"
             break
 
         # Quasi-Newton direction on the free coordinates, B_FF p = -g_F;
@@ -114,51 +122,58 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
                 p[a] = -v
                 slope -= g[a] * v
         if not slope < 0.0:
-            b_mat = identity
+            b_mat = [[float(a == b) for b in rng] for a in rng]
             for a in free:
                 p[a] = -g[a]
 
-        step, used = _line_search(fg, x, fx, g, p, span, clip, free)
+        step, used = _line_search(fg, x, fx, g, p, span, lower, upper, free)
         evals += used
         if step is None:
+            stop = "line_search"
             break
         x_new, f_new, g_new = step
         iterations += 1
 
         # BFGS update of B with the scaled step and gradient change;
         # skipped when the curvature is not positive.
-        s = [(x_new[j] - x[j]) / span[j] if span[j] else 0.0 for j in rng]
-        y = [g_new[j] - g[j] for j in rng]
-        x, fx, g = x_new, f_new, g_new
-        sy = 0.0
-        yy = 0.0
+        s = [0.0] * n
+        y = [0.0] * n
+        sy = yy = 0.0
         for j in rng:
-            sy += s[j] * y[j]
-            yy += y[j] * y[j]
+            s[j] = sj = (x_new[j] - x[j]) / span[j] if span[j] else 0.0
+            y[j] = yj = g_new[j] - g[j]
+            sy += sj * yj
+            yy += yj * yj
+        x, fx, g = x_new, f_new, g_new
         if sy <= 1e-12 * yy:
             continue
         bs = [0.0] * n
+        sbs = 0.0
         for a in rng:
             row = b_mat[a]
             t = 0.0
             for b in rng:
                 t += row[b] * s[b]
             bs[a] = t
-        sbs = 0.0
-        for j in rng:
-            sbs += s[j] * bs[j]
+            sbs += s[a] * t
         if not sbs > 0.0:
             continue
-        b_mat = [[b_mat[a][b] - bs[a] * bs[b] / sbs + y[a] * y[b] / sy
-                  for b in rng] for a in rng]
-    b_end = tuple(tuple(b_mat[a][b] / (span[a] * span[b])
-                        if span[a] and span[b] else 0.0 for b in rng)
-                  for a in rng)
+        # Upper triangle, mirrored: exact while B is symmetric.
+        for a in rng:
+            row, ba, ya = b_mat[a], bs[a], y[a]
+            for b in range(a, n):
+                v = row[b] - ba * bs[b] / sbs + ya * y[b] / sy
+                row[b] = b_mat[b][a] = v
+    b_end = tuple([tuple([v / (sa * sb) if sa and sb else 0.0
+                          for v, sb in zip(row, span)])
+                   for row, sa in zip(b_mat, span)])
     if fx > f_start:
         # Steps judged by gradients ended a rounding error above an
         # unconverged start: keep the start.
-        return BoxResult(x_start, f_start, False, iterations, evals, b_end)
-    return BoxResult(tuple(x), fx, converged, iterations, evals, b_end)
+        return BoxResult(x_start, f_start, False, iterations, evals, b_end,
+                         stop, pg_start)
+    return BoxResult(tuple(x), fx, stop == "tolerance", iterations, evals,
+                     b_end, stop, pg)
 
 
 def _cholesky_solve(b_mat, free, g):
@@ -167,27 +182,27 @@ def _cholesky_solve(b_mat, free, g):
     numerically positive definite."""
     k = len(free)
     low = [[0.0] * k for _ in range(k)]
+    v = [0.0] * k
     for c in range(k):
-        row_c = b_mat[free[c]]
+        # Row c of L, diagonal last; the forward solve L w = g_F runs along.
+        fc = free[c]
+        row_c = b_mat[fc]
         lc = low[c]
-        for r in range(c + 1):
+        d = s_d = row_c[fc]
+        w = g[fc]
+        for r in range(c):
             s = row_c[free[r]]
             lr = low[r]
             for q in range(r):
                 s -= lc[q] * lr[q]
-            if r < c:
-                lc[r] = s / lr[r]
-            elif s > 1e-14 * abs(row_c[free[c]]):
-                lc[c] = math.sqrt(s)
-            else:
-                return None
-    v = [0.0] * k
-    for c in range(k):
-        s = g[free[c]]
-        lc = low[c]
-        for q in range(c):
-            s -= lc[q] * v[q]
-        v[c] = s / lc[c]
+            s /= lr[r]
+            lc[r] = s
+            s_d -= s * s
+            w -= s * v[r]
+        if not s_d > 1e-14 * abs(d):
+            return None
+        lc[c] = d = math.sqrt(s_d)
+        v[c] = w / d
     for c in range(k - 1, -1, -1):
         s = v[c]
         for q in range(c + 1, k):
@@ -196,7 +211,7 @@ def _cholesky_solve(b_mat, free, g):
     return v
 
 
-def _line_search(fg, x, fx, g, p, span, clip, free):
+def _line_search(fg, x, fx, g, p, span, lower, upper, free):
     """Armijo backtracking along the projection arc x(t) = P(x + t p).
 
     p and g are in span units.  The first trial moves the largest
@@ -215,10 +230,12 @@ def _line_search(fg, x, fx, g, p, span, clip, free):
     t = min(1.0, 1.0 / pmax)
     used = 0
     for _ in range(_MAX_HALVINGS):
-        xt = list(x)
+        xt = x[:]
         moved = False
         for a in free:
-            v = clip(x[a] + t * p[a] * span[a], a)
+            v = x[a] + t * p[a] * span[a]
+            v = v if v > lower[a] else lower[a]    # min(upper, max(lower, v))
+            v = v if v < upper[a] else upper[a]
             if v != x[a]:
                 xt[a] = v
                 moved = True
@@ -227,7 +244,7 @@ def _line_search(fg, x, fx, g, p, span, clip, free):
         ft, gt = fg(xt)
         used += 1
         if ft <= fx + _NOISE * abs(fx):
-            gt = [gt[j] * span[j] for j in range(len(x))]
+            gt = [gj * sp for gj, sp in zip(gt, span)]
             dec = 0.0
             dec_t = 0.0
             for a in free:

@@ -127,6 +127,34 @@ def test_run_of_too_many_steps_is_refused(tmp_path, capsys, duration,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dump", [[], ["--dump-path"]], ids=["run", "dump"])
+def test_overlong_reference_path_is_refused(tmp_path, capsys, dump):
+    # 100,000 steps pass the step limit, but the path would run 10^7 m:
+    # about 10^8 rows of reference_path.csv.
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps({"road": {}, "ego": {}, "duration": 1e6}))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", str(p), "--out", str(out),
+                   "--set", "dt=10", *dump])
+    assert rc == 1
+    assert ("duration=1000000.0, ego vx=10.0: a reference path of more "
+            "than 1000000 rows") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overlong_planned_path_is_refused(tmp_path, capsys):
+    # A 10 s run past an obstacle 200 km ahead: the plan swerves around it,
+    # so the path is too long although vx * duration is short.
+    p = tmp_path / "far.json"
+    p.write_text(json.dumps({"road": {}, "ego": {}, "duration": 10.0,
+                             "obstacles": [{"x": 2e5, "y": 0.0}]}))
+    rc = cli.main(["run", "--scenario", str(p), "--out", str(tmp_path),
+                   "--dump-path"])
+    assert rc == 1
+    assert "more than 1000000 rows" in capsys.readouterr().err
+    assert not (tmp_path / "reference_path.csv").exists()
+
+
 def test_every_numeric_field_is_overridable(tmp_path):
     # Exhaustive: every numeric field of both config dataclasses round-trips
     # through --set (identity values; --dump-path avoids simulating).
@@ -222,6 +250,23 @@ def test_abort_after_collision_reports_it(tmp_path, capsys):
     assert "no finite cost" in err
     assert (f"collision before the abort: min clearance "
             f"{worst['clearance']:.4f} m at t={worst['t']:.2f}") in err
+
+
+def test_abort_after_leaving_the_road_reports_it(tmp_path, capsys):
+    # One solver iteration per step lets the static run cross the lower
+    # boundary line before the solver finds no finite cost.
+    static = os.path.join(SCENARIO_DIR, "static_three_vehicle.json")
+    rc = cli.main(["run", "--scenario", static, "--out", str(tmp_path),
+                   "--set", "solver_max_iter=1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    rows = read_trajectory_csv(tmp_path / "trajectory_integrated.csv")
+    worst = min(rows, key=lambda row: row["Y"])
+    assert worst["Y"] <= -1.75
+    assert "no finite cost" in err and "collision" not in err
+    assert (f"road boundary reached before the abort: Y={worst['Y']:.4f} m "
+            f"at t={worst['t']:.2f} against the lower line at "
+            f"y=-1.7500 m") in err
 
 
 def test_abort_without_collision_reports_only_the_abort(tmp_path, capsys,

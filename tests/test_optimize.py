@@ -144,6 +144,52 @@ class TestMinimizeBox:
         res = minimize_box(fg, [-1.0], [1.0], [0.0])
         assert res.x == (0.0,) and res.fun == 1.0
         assert not res.converged
+        assert res.stop == "iteration_cap"
+        # With room for 250 steps the walk reaches the lower bound and
+        # stops on the tolerance there; the start it returns stays
+        # unconverged, with its own residual.
+        res = minimize_box(fg, [-1.0], [1.0], [0.0], max_iter=1000)
+        assert res.x == (0.0,) and res.fun == 1.0
+        assert not res.converged and res.stop == "tolerance"
+        assert res.residual == projected_gradient(fg, res.x, [-1.0], [1.0])
+
+
+class TestStopReason:
+    """BoxResult.stop and .residual, one case per stop reason."""
+
+    def test_tolerance(self):
+        lower, upper = [-5.0, -5.0], [5.0, 5.0]
+        fg = quadratic([0.3, -1.2])
+        res = minimize_box(fg, lower, upper, [0.0, 0.0])
+        assert res.stop == "tolerance"
+        assert res.converged == (res.stop == "tolerance")
+        assert res.residual == projected_gradient(fg, res.x, lower, upper)
+        assert res.residual <= 1e-9 * (1.0 + abs(res.fun))
+
+    def test_iteration_cap(self):
+        res = minimize_box(quadratic([0.9]), [-1.0], [1.0], [-0.9],
+                           max_iter=0)
+        assert res.stop == "iteration_cap"
+        assert res.converged == (res.stop == "tolerance")
+        # |2 (x - 0.9)| at x = -0.9, times the span 2
+        assert res.residual == 3.6 * 2.0
+
+    def test_line_search(self):
+        # Every trial point is rejected: 40 halvings, then the start back.
+        def fg(x):
+            return (0.0, [1.0]) if x == [0.5] else (math.inf, None)
+
+        res = minimize_box(fg, [0.0], [1.0], [0.5])
+        assert res.stop == "line_search"
+        assert res.converged == (res.stop == "tolerance")
+        assert res.x == (0.5,) and res.iterations == 0 and res.n_eval == 41
+        assert res.residual == 1.0
+
+    def test_nonfinite_start(self):
+        res = minimize_box(lambda x: (math.inf, None), [0.0], [1.0], [0.5])
+        assert res.stop == "nonfinite_start"
+        assert res.converged == (res.stop == "tolerance")
+        assert res.residual == math.inf
 
 
 class TestInitialCurvature:
@@ -219,6 +265,19 @@ class TestInitialCurvature:
         assert again.iterations == 1 and again.n_eval == 2
         for got, want in zip(again.x, (0.3, -0.2, 1.1)):
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_asymmetric_seed_acts_as_its_symmetric_part(self):
+        # B starts from (h + h') / 2, so both seeds give the same result,
+        # with a bound active on the way.
+        hess = [[4.0, 1.3, 0.2], [0.7, 3.0, -0.9], [0.6, 0.1, 2.0]]
+        sym = [[0.5 * (hess[a][b] + hess[b][a]) for b in range(3)]
+               for a in range(3)]
+        fg = self.coupled([0.3, 1.5, -0.4], sym)
+        lower, upper = [-1.0, -1.0, -2.0], [1.0, 1.0, 2.0]
+        res = minimize_box(fg, lower, upper, [0.0, 0.0, 0.0], hessian=hess)
+        assert res == minimize_box(fg, lower, upper, [0.0, 0.0, 0.0],
+                                   hessian=sym)
+        assert res.converged and res.x[1] == 1.0
 
     def test_final_estimate_is_zero_in_a_zero_span_coordinate(self):
         res = minimize_box(quadratic([0.2, 0.5]), [-1.0, 0.5], [1.0, 0.5],

@@ -64,6 +64,25 @@ def test_solver_effort_bounds(solves, name):
     _check_effort([res for _, _, res in solves[name]], MAX_MEAN_EVAL[name])
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_carried_curvature_is_exactly_symmetric(solves, name):
+    # The solver updates only B's upper triangle and mirrors it, which is
+    # exact only for a symmetric B; every estimate handed on is one.
+    for _, _, res in solves[name]:
+        h = res.hessian
+        assert all(h[a][b].hex() == h[b][a].hex()
+                   for a in range(len(h)) for b in range(a))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_stop_reason_and_residual_reach_the_solve_result(solves, cfg, name):
+    for _, _, res in solves[name]:
+        assert res.stop == "tolerance" and res.converged
+        # each accepted step costs at least one evaluation after the start
+        assert 0 <= res.iterations < res.n_eval
+        assert res.residual <= cfg.solver_tol * (1.0 + abs(res.cost))
+
+
 @pytest.mark.parametrize("name,horizon", sorted(MAX_MEAN_EVAL_LONGER))
 def test_solver_effort_bounds_longer_horizons(params, cfg, name, horizon):
     calls = _recorded_solves(SCENARIOS[name], params,
