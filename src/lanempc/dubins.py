@@ -38,9 +38,6 @@ MID_STRAIGHT = 5.0
 # near the end of the run stay on the path.
 _TAIL = 30.0
 
-# Arclength step (m) of dense_samples, the rows of reference_path.csv.
-SAMPLE_SPACING = 0.1
-
 # Depth (m) of contact with a frozen rectangle that validation still accepts
 # as grazing: swerves pass exactly through the rectangle corners that
 # placed them.
@@ -574,10 +571,3 @@ def _arc_params(seg, angles):
             out.append(t)
     return out
 
-
-def dense_samples(path, ds=SAMPLE_SPACING):
-    """Yield (s, x, y, heading, curvature) rows along the whole path."""
-    n = max(1, int(path.total_length / ds))
-    for i in range(n + 1):
-        s = min(path.total_length, path.total_length * i / n)
-        yield (s, *sample_reference(path, s))

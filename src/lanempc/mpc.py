@@ -43,7 +43,8 @@ class MpcConfig:
     solver_tol is the stationarity test of the box solver: a solve counts
     as converged when the largest projected-gradient entry, each control
     measured in units of its box span, is at most solver_tol * (1 + |J|).
-    solver_max_iter caps the solver's accepted steps in one solve_step.
+    solver_max_iter (at least 1) caps the solver's accepted steps in one
+    solve_step.
     """
 
     Np: int = 3
@@ -71,9 +72,11 @@ class MpcConfig:
                     f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
-        for name in ("a1", "b1", "b2", "b3", "obstacle_weight"):
+        for name in ("a1", "b1", "b2", "b3", "obstacle_weight", "solver_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.solver_max_iter < 1:
+            raise ValueError("solver_max_iter must be >= 1")
         for name in ("delta_max", "Td_max", "Tb_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")

@@ -1,7 +1,8 @@
 """The benchmark runner (perfbench/run.py) still reads what it needs from
 the package: the kernel registry, the MpcConfig properties it passes on,
-horizon_cost's positional signature, and every function its tracer
-(perfbench/layers.py) wraps.  A change that breaks any of them fails here
+horizon_cost's positional signature, every function its tracer
+(perfbench/layers.py) wraps, and the reference_path.csv its set-up timer
+checks for.  A change that breaks any of them fails here
 rather than only in a benchmark run."""
 
 import importlib.util
@@ -71,3 +72,15 @@ def test_tracer_finds_every_site_of_a_dynamic_run(bench, tmp_path):
     assert counts[0] == counts[1]
     assert counts[0]["harness.steps"] == 151
     assert counts[0]["dubins.build_lane_change_path.calls"] == 71
+
+
+def test_setup_timer_reads_the_path_csv(bench, tmp_path):
+    # SetupTimer.sample is the benchmark's only reader of reference_path.csv:
+    # a fresh --dump-path interpreter on a jittered dynamic scenario.
+    from lanempc.mpc import MpcConfig
+
+    inp = bench.Input(tmp_path, "dynamic_three_vehicle.json", 1,
+                      MpcConfig().dt)
+    timer = bench.SetupTimer("integrated", tmp_path)
+    timer.sample(inp)
+    assert len(timer.times) == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import tracemalloc
 
@@ -26,6 +27,13 @@ def read_trajectory_csv(path):
             row["converged"] = bool(int(cells[header.index("converged")]))
             out.append(row)
     return out
+
+
+def read_path_csv(path):
+    """Rows of reference_path.csv as tuples of floats, header checked."""
+    with open(path) as fh:
+        assert fh.readline() == "s,x,y,heading,curvature\n"
+        return [tuple(map(float, line.split(","))) for line in fh]
 
 
 def test_help_exits_zero(capsys):
@@ -112,10 +120,12 @@ def test_non_finite_override_is_refused(tmp_path, capsys, override):
 @pytest.mark.parametrize("duration,overrides,named", [
     (1e9, [], "duration=1000000000.0, dt=0.1"),
     (6.0, ["--set", "dt=1e-9"], "duration=6.0, dt=1e-09"),
-], ids=["duration", "dt"])
+    (1e6, ["--dump-path"], "duration=1000000.0, dt=0.1"),
+], ids=["duration", "dt", "dump"])
 def test_run_of_too_many_steps_is_refused(tmp_path, capsys, duration,
                                           overrides, named):
-    # 10^10 and 6·10^9 control steps: refused at once instead of simulated.
+    # 10^10, 6·10^9 and 10^7 control steps: refused at once instead of
+    # simulated, and before --dump-path plans or writes anything.
     p = tmp_path / "long.json"
     p.write_text(json.dumps({"road": {}, "ego": {}, "duration": duration}))
     out = tmp_path / "out"
@@ -127,32 +137,59 @@ def test_run_of_too_many_steps_is_refused(tmp_path, capsys, duration,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dump", [[], ["--dump-path"]], ids=["run", "dump"])
-def test_overlong_reference_path_is_refused(tmp_path, capsys, dump):
-    # 100,000 steps pass the step limit, but the path would run 10^7 m:
-    # about 10^8 rows of reference_path.csv.
-    p = tmp_path / "long.json"
-    p.write_text(json.dumps({"road": {}, "ego": {}, "duration": 1e6}))
-    out = tmp_path / "out"
-    rc = cli.main(["run", "--scenario", str(p), "--out", str(out),
-                   "--set", "dt=10", *dump])
-    assert rc == 1
-    assert ("duration=1000000.0, ego vx=10.0: a reference path of more "
-            "than 1000000 rows") in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_overlong_planned_path_is_refused(tmp_path, capsys):
-    # A 10 s run past an obstacle 200 km ahead: the plan swerves around it,
-    # so the path is too long although vx * duration is short.
+def _far_obstacle_doc(tmp_path):
+    # A 10 s run (100 m at 10 m/s) past an obstacle 200 km ahead: the plan
+    # swerves around it, so the path runs 200 km although the run is short.
     p = tmp_path / "far.json"
     p.write_text(json.dumps({"road": {}, "ego": {}, "duration": 10.0,
                              "obstacles": [{"x": 2e5, "y": 0.0}]}))
+    return p
+
+
+def test_far_obstacle_run_completes(tmp_path):
+    assert cli.main(["run", "--scenario", str(_far_obstacle_doc(tmp_path)),
+                     "--out", str(tmp_path / "out")]) == 0
+
+
+def test_far_obstacle_dump_writes_one_row_per_segment(tmp_path, params):
+    p = _far_obstacle_doc(tmp_path)
     rc = cli.main(["run", "--scenario", str(p), "--out", str(tmp_path),
                    "--dump-path"])
+    assert rc == 0
+    with open(p) as fh:
+        sc = scenario_from_dict(json.load(fh))
+    path = dubins.build_lane_change_path(sc, sc.ego_initial.vx, params)
+    assert path.total_length > 2e5
+    rows = read_path_csv(tmp_path / "reference_path.csv")
+    assert len(rows) == len(path.segments) + 1
+
+
+def test_long_straight_dump_writes_two_rows(tmp_path):
+    # 100,000 steps at dt=10 pass the step limit; the 10^7 m straight is
+    # written as its start and its end.
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps({"road": {}, "ego": {}, "duration": 1e6}))
+    rc = cli.main(["run", "--scenario", str(p), "--out", str(tmp_path),
+                   "--set", "dt=10", "--dump-path"])
+    assert rc == 0
+    rows = read_path_csv(tmp_path / "reference_path.csv")
+    assert len(rows) == 2
+    assert rows[0][0] == 0.0 and rows[1][0] > 1e7
+
+
+@pytest.mark.parametrize("override,named", [
+    ("solver_tol=-1", "solver_tol must be >= 0"),
+    ("solver_max_iter=0", "solver_max_iter must be >= 1"),
+    ("solver_max_iter=-3", "solver_max_iter must be >= 1"),
+], ids=["tol", "max_iter_zero", "max_iter_negative"])
+def test_solver_settings_out_of_range_are_refused(tmp_path, capsys,
+                                                  override, named):
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", SMALL, "--out", str(out),
+                   "--set", override])
     assert rc == 1
-    assert "more than 1000000 rows" in capsys.readouterr().err
-    assert not (tmp_path / "reference_path.csv").exists()
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_every_numeric_field_is_overridable(tmp_path):
@@ -315,20 +352,37 @@ def _peak_alloc(write, *args):
 
 def test_csv_writers_stream_their_rows(tmp_path, params, cfg,
                                        static_scenario):
-    # The writers format each row as they write it and hold no list of
-    # rows: building those lists peaked at 970 KB (path) and 186 KB
-    # (trajectory) on this scenario, on Python 3.11.
-    path = dubins.build_lane_change_path(
-        static_scenario, static_scenario.ego_initial.vx, params)
-    log = harness.run(static_scenario, params, cfg, path=path)
-    assert _peak_alloc(cli.write_path_csvs, tmp_path, path) < 128 * 1024
+    # The trajectory writer formats each row as it writes it and holds no
+    # list of rows: building that list peaked at 186 KB on this scenario,
+    # on Python 3.11.
+    log = harness.run(static_scenario, params, cfg)
     traj = tmp_path / "trajectory_integrated.csv"
     assert _peak_alloc(cli.write_trajectory_csv, traj, log) < 96 * 1024
-
-    # Streaming leaves the cells as _fmt writes them.
-    with open(tmp_path / "reference_path.csv") as fh:
-        lines = fh.read().splitlines()
-    assert lines[1:] == [",".join(map(cli._fmt, row))
-                         for row in dubins.dense_samples(path)]
     with open(traj) as fh:
         assert len(fh.read().splitlines()) == len(log.rows) + 1
+
+
+@pytest.mark.parametrize("name", ["static_scenario", "dynamic_scenario",
+                                  "empty_scenario"])
+def test_path_csv_round_trips_the_segments(tmp_path, params, request, name):
+    # One row per segment start, plus the end: each is sample_reference at
+    # that arclength, bit for bit.
+    sc = request.getfixturevalue(name)
+    path = dubins.build_lane_change_path(sc, sc.ego_initial.vx, params)
+    cli.write_path_csvs(tmp_path, path)
+    rows = read_path_csv(tmp_path / "reference_path.csv")
+    assert len(rows) == len(path.segments) + 1
+    expected = [(s, *dubins.sample_reference(path, s))
+                for s in (*path.offsets, path.total_length)]
+    assert repr(rows) == repr(expected)  # repr tells -0.0 from 0.0
+    # Each row's line or arc (README's rebuild) reaches the next row.
+    for (s0, x0, y0, h0, k0), (s1, x1, y1, h1, _) in zip(rows, rows[1:]):
+        run = s1 - s0
+        if k0 == 0.0:
+            end = (x0 + run * math.cos(h0), y0 + run * math.sin(h0))
+        else:
+            cx, cy = x0 - math.sin(h0) / k0, y0 + math.cos(h0) / k0
+            h = h0 + k0 * run
+            end = (cx + math.sin(h) / k0, cy - math.cos(h) / k0)
+            assert math.isclose(h, h1, abs_tol=1e-9)
+        assert math.dist(end, (x1, y1)) < 1e-9

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from lanempc.dubins import (PathConstructionError, build_lane_change_path,
-                            dense_samples, min_turn_radius, nearest_arclength,
+                            min_turn_radius, nearest_arclength,
                             reference_for_horizon, sample_reference)
 from lanempc.dynamics import VehicleState
 from lanempc.scenario import (Obstacle, Road, Scenario, obstacle_boundary_at,
@@ -168,12 +168,6 @@ class TestSampling:
             sample_reference(path, -0.5)
         with pytest.raises(ValueError):
             sample_reference(path, path.total_length + 0.5)
-
-    def test_dense_samples_cover_whole_path(self, params, empty_scenario):
-        path = build_lane_change_path(empty_scenario, 10.0, params)
-        rows = list(dense_samples(path, ds=0.1))
-        assert rows[0][0] == 0.0
-        assert rows[-1][0] == path.total_length
 
 
 class TestHorizonReferences:

@@ -35,6 +35,7 @@ class TestConfig:
         {"Np": 0}, {"Np": 200}, {"dt": 0.0}, {"a1": -1.0}, {"b3": -0.1},
         {"delta_max": 0.0}, {"Td_max": -5.0},
         {"predictor_yaw_divisor": "Jz"}, {"yaw_accel_diff": "sideways"},
+        {"solver_tol": -1.0}, {"solver_max_iter": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
