@@ -5,9 +5,9 @@
 
 Loads a scenario document (JSON; schema in the README), runs the requested
 controller(s), and writes CSV logs plus a metrics summary.  Exit codes:
-0 collision-free completion, 1 usage/config error, 2 collision,
-3 solver/plant abort (its message also reports a collision, or a road
-boundary line reached, before the abort).
+0 collision-free completion, 1 usage/config error or an --out that cannot
+be written, 2 collision, 3 solver/plant abort (its message also reports a
+collision, or a road boundary line reached, before the abort).
 """
 
 import argparse
@@ -210,6 +210,17 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    try:
+        return _run(args, scenario, cfg, params)
+    except OSError as exc:
+        print(f"error: cannot write to --out {args.out!r}: {exc}",
+              file=sys.stderr)
+        return 1
+
+
+def _run(args, scenario, cfg, params):
+    """Plan, simulate and write the CSVs into args.out; returns the exit
+    code.  Raises OSError when args.out cannot be created or written."""
     os.makedirs(args.out, exist_ok=True)
     try:
         path = dubins.build_lane_change_path(scenario,

@@ -21,6 +21,10 @@ from .scenario import obstacle_pose_at
 _DIFF_CODES = {"backward": 0, "forward": 1, "centered": 2}
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MpcConfig:
     """Horizon, weights, and actuator bounds for the receding-horizon solve.
@@ -43,8 +47,10 @@ class MpcConfig:
     solver_tol is the stationarity test of the box solver: a solve counts
     as converged when the largest projected-gradient entry, each control
     measured in units of its box span, is at most solver_tol * (1 + |J|).
-    solver_max_iter (at least 1) caps the solver's accepted steps in one
-    solve_step.
+    Below about 1e-7 it asks for more than the cost's rounding lets a line
+    search resolve, and solves end unconverged on "line_search".
+    solver_max_iter (an int, at least 1) caps the solver's accepted steps in
+    one solve_step.
     """
 
     Np: int = 3
@@ -57,13 +63,13 @@ class MpcConfig:
     Td_max: float = 200.0
     Tb_max: float = 160.0
     obstacle_weight: float = 0.0
-    solver_tol: float = 1e-9
+    solver_tol: float = 1e-6
     solver_max_iter: int = 60
     predictor_yaw_divisor: str = "Iz"
     yaw_accel_diff: str = "forward"
 
     def __post_init__(self):
-        if not (isinstance(self.Np, int) and 1 <= self.Np <= kernels.MAX_STEPS):
+        if not (_is_int(self.Np) and 1 <= self.Np <= kernels.MAX_STEPS):
             raise ValueError(f"Np must be an int in 1..{kernels.MAX_STEPS}")
         for name in ("dt", "a1", "b1", "b2", "b3", "delta_max", "Td_max",
                      "Tb_max", "obstacle_weight", "solver_tol"):
@@ -75,8 +81,9 @@ class MpcConfig:
         for name in ("a1", "b1", "b2", "b3", "obstacle_weight", "solver_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.solver_max_iter < 1:
-            raise ValueError("solver_max_iter must be >= 1")
+        if not (_is_int(self.solver_max_iter) and self.solver_max_iter >= 1):
+            raise ValueError(f"solver_max_iter must be >= 1 and an int, "
+                             f"got {self.solver_max_iter!r}")
         for name in ("delta_max", "Td_max", "Tb_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")

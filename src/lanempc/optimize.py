@@ -4,8 +4,8 @@ A projected BFGS method (in the spirit of L-BFGS-B, Byrd, Lu, Nocedal & Zhu
 1995, and projected Newton, Bertsekas 1982) for small dense problems.  Each
 coordinate is measured in units of its box span, so steering (radians) and
 torque (newton metres) weigh alike.  No randomness anywhere: identical inputs
-give identical iterates, and the returned point never scores worse than the
-start.
+give identical iterates, and every accepted step strictly lowers the value,
+so the returned point never scores worse than the start.
 """
 
 import math
@@ -15,10 +15,6 @@ from dataclasses import dataclass
 # budget of one line search (step halvings).
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
-
-# Relative rounding noise of an objective value: trial values within it of
-# the current value are judged by their gradients instead.
-_NOISE = 1e-11
 
 
 @dataclass(frozen=True)
@@ -44,9 +40,8 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     the box, takes the direction from a Cholesky solve with B's free block,
     steps along the projection arc with Armijo backtracking, and falls back
     to steepest descent (and B to the identity) when that block is not
-    positive definite or the direction does not descend.  Near a minimum,
-    where trial values differ from the current one only by rounding, the
-    sufficient-decrease test is made on the gradients.
+    positive definite, the direction does not descend, or the line search
+    finds no sufficient decrease along it.
 
     hessian, when given, is an initial estimate of the Hessian in x's own
     units (a list of rows), for instance the ``hessian`` of an earlier
@@ -58,9 +53,9 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     residual is the span-scaled projected gradient's largest entry at x
     (inf at a non-finite start).  stop is why the iteration ended:
     "tolerance" (residual at most ``tol * (1 + |fun|)``), "iteration_cap",
-    "line_search" (no acceptable step) or "nonfinite_start".  converged is
-    ``stop == "tolerance"``, except that steps judged by gradients that end
-    a rounding error above the start return the start, unconverged.  n_eval
+    "line_search" (no acceptable step even along steepest descent) or
+    "nonfinite_start".  converged is ``stop == "tolerance"``; a tol finer
+    than the values' rounding can resolve ends on "line_search".  n_eval
     counts calls of fg; iterations counts accepted steps.  hessian is B
     when the iteration stopped, in x units, or the given estimate when the
     start is not finite.
@@ -81,10 +76,10 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     if not math.isfinite(fx):
         return BoxResult(tuple(x), fx, False, 0, evals, hessian,
                          "nonfinite_start", math.inf)
-    b_mat = [[float(a == b) for b in rng] for a in rng] if hessian is None \
+    eye = [[float(a == b) for b in rng] for a in rng]
+    b_mat = [row[:] for row in eye] if hessian is None \
         else [[0.5 * (u + w) * (sa * sb) for u, w, sb in zip(row, col, span)]
               for row, col, sa in zip(hessian, zip(*hessian), span)]
-    x_start, f_start = tuple(x), fx
     g = [gx[j] * span[j] for j in rng]
 
     iterations = 0
@@ -102,8 +97,6 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
             a = abs(gj)
             if a > pg:
                 pg = a
-        if not iterations:
-            pg_start = pg
         if pg <= tol * (1.0 + abs(fx)):
             stop = "tolerance"
             break
@@ -122,15 +115,19 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
                 p[a] = -v
                 slope -= g[a] * v
         if not slope < 0.0:
-            b_mat = [[float(a == b) for b in rng] for a in rng]
+            b_mat = [row[:] for row in eye]
             for a in free:
                 p[a] = -g[a]
 
         step, used = _line_search(fg, x, fx, g, p, span, lower, upper, free)
         evals += used
         if step is None:
-            stop = "line_search"
-            break
+            # Nothing accepted along B's direction: retry from the identity.
+            if b_mat == eye:
+                stop = "line_search"
+                break
+            b_mat = [row[:] for row in eye]
+            continue
         x_new, f_new, g_new = step
         iterations += 1
 
@@ -167,11 +164,6 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     b_end = tuple([tuple([v / (sa * sb) if sa and sb else 0.0
                           for v, sb in zip(row, span)])
                    for row, sa in zip(b_mat, span)])
-    if fx > f_start:
-        # Steps judged by gradients ended a rounding error above an
-        # unconverged start: keep the start.
-        return BoxResult(x_start, f_start, False, iterations, evals, b_end,
-                         stop, pg_start)
     return BoxResult(tuple(x), fx, stop == "tolerance", iterations, evals,
                      b_end, stop, pg)
 
@@ -215,10 +207,11 @@ def _line_search(fg, x, fx, g, p, span, lower, upper, free):
     """Armijo backtracking along the projection arc x(t) = P(x + t p).
 
     p and g are in span units.  The first trial moves the largest
-    coordinate by at most one span.  Returns ((x, f, scaled gradient) of
-    the first accepted point or None, evaluations used); None when
-    _MAX_HALVINGS halvings give no sufficient decrease or the step
-    shrinks to nothing.
+    coordinate by at most one span; a trial x_t is accepted when
+    dec = g'(x_t - x) < 0 and f(x_t) <= f(x) + _ARMIJO * dec.  Returns
+    ((x, f, scaled gradient) of the first accepted point or None,
+    evaluations used); None when _MAX_HALVINGS halvings accept nothing
+    or the step shrinks to nothing.
     """
     pmax = 0.0
     for a in free:
@@ -243,19 +236,10 @@ def _line_search(fg, x, fx, g, p, span, lower, upper, free):
             break
         ft, gt = fg(xt)
         used += 1
-        if ft <= fx + _NOISE * abs(fx):
-            gt = [gj * sp for gj, sp in zip(gt, span)]
-            dec = 0.0
-            dec_t = 0.0
-            for a in free:
-                s = (xt[a] - x[a]) / span[a]
-                dec += g[a] * s
-                dec_t += gt[a] * s
-            # Sufficient decrease measured on the values or, where they
-            # only differ by rounding, on the gradients (the trapezoid
-            # estimate of the decrease, exact for a quadratic).
-            if (ft <= fx + _ARMIJO * dec
-                    or dec_t <= (2.0 * _ARMIJO - 1.0) * dec):
-                return (xt, ft, gt), used
+        dec = 0.0
+        for a in free:
+            dec += g[a] * ((xt[a] - x[a]) / span[a])
+        if dec < 0.0 and ft <= fx + _ARMIJO * dec:
+            return (xt, ft, [gj * sp for gj, sp in zip(gt, span)]), used
         t *= 0.5
     return None, used

@@ -192,6 +192,17 @@ def test_solver_settings_out_of_range_are_refused(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_out_that_is_a_file_exits_one_naming_it(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    rc = cli.main(["run", "--scenario", SMALL, "--out", str(taken)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write to --out {str(taken)!r}: ")
+    assert "File exists" in err
+    assert taken.read_text() == "not a directory"
+
+
 def test_every_numeric_field_is_overridable(tmp_path):
     # Exhaustive: every numeric field of both config dataclasses round-trips
     # through --set (identity values; --dump-path avoids simulating).

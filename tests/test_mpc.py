@@ -36,6 +36,9 @@ class TestConfig:
         {"delta_max": 0.0}, {"Td_max": -5.0},
         {"predictor_yaw_divisor": "Jz"}, {"yaw_accel_diff": "sideways"},
         {"solver_tol": -1.0}, {"solver_max_iter": 0},
+        {"solver_max_iter": 2.5}, {"solver_max_iter": math.nan},
+        {"solver_max_iter": math.inf}, {"solver_max_iter": True},
+        {"Np": True}, {"Np": 3.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -24,6 +24,8 @@ from lanempc.harness import run
 from lanempc.scenario import (Obstacle, Rect, Road, Scenario,
                               obstacle_boundary_at, rect_signed_distance)
 
+from fuzz_layouts import mirrored
+
 # Sample spacing (m) of the sweep the exact check replaced.
 OLD_DS = 0.05
 
@@ -268,17 +270,6 @@ def layouts(draw, anchored=True):
     return scenario, vx, anchor
 
 
-def _mirrored(scenario):
-    road = scenario.road
-    ego = scenario.ego_initial
-    return Scenario(road=Road(lane_width=road.lane_width,
-                              lower_boundary_y=-road.upper_boundary_y),
-                    obstacles=[dataclasses.replace(o, y0=-o.y0)
-                               for o in scenario.obstacles],
-                    ego_initial=dataclasses.replace(ego, Y=-ego.Y),
-                    duration=scenario.duration)
-
-
 def _build_spied(scenario, vx, params, **anchor):
     """(path, validator arguments), or (None, None) when the build raises."""
     seen = []
@@ -317,7 +308,7 @@ def test_fuzzed_layouts_plan_valid_paths(params, layout):
         swerves = [seg.start[0] for seg in path.segments if seg.kind == "arc"]
         assert min(swerves, default=math.inf) >= anchor.get("ego_x", -math.inf)
 
-    mirror, _ = _build_spied(_mirrored(scenario), vx, params, **anchor)
+    mirror, _ = _build_spied(mirrored(scenario), vx, params, **anchor)
     assert (mirror is None) == (path is None)
     if path is not None:
         assert mirror.segments == tuple(_mirror_of(s) for s in path.segments)
