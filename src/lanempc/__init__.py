@@ -7,8 +7,7 @@ comparison, and a closed-loop scenario harness with CSV output.
 """
 
 from .dynamics import (ControlInput, LowSpeedError, PlantFailureError,
-                       VehicleParams, VehicleState, lateral_tire_forces,
-                       slip_angles, state_derivative, step)
+                       VehicleParams, VehicleState, state_derivative, step)
 from .dubins import (PathConstructionError, PathSegment, ReferencePath,
                      build_lane_change_path, min_turn_radius,
                      nearest_arclength, reference_for_horizon,
@@ -30,9 +29,9 @@ __all__ = [
     "PredictedTrajectory", "Rect", "ReferencePath", "Road", "Scenario",
     "SimulationAborted", "SimulationLog", "SolveResult", "VehicleParams",
     "VehicleState", "build_lane_change_path", "compute_metrics", "cost",
-    "lateral_tire_forces", "min_obstacle_clearance", "min_turn_radius",
+    "min_obstacle_clearance", "min_turn_radius",
     "minimize_box", "nearest_arclength", "obstacle_boundary_at",
     "obstacle_pose_at", "predict", "reference_for_horizon", "run",
-    "sample_reference", "scenario_from_dict", "slip_angles", "solve_step",
+    "sample_reference", "scenario_from_dict", "solve_step",
     "state_derivative", "step",
 ]

@@ -60,13 +60,6 @@ def _build_parser():
     return parser
 
 
-def _fmt(value):
-    """Full-precision CSV cell: shortest decimal that parses back exactly."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return repr(float(value))
-
-
 def override_targets():
     """Overridable field names -> (dataclass name, field type)."""
     table = {}
@@ -114,8 +107,8 @@ def _write_csv(path, header, rows):
 
 
 def _float_cells(values):
-    """Full-precision cells of plain numbers (``_fmt`` without the bool
-    case)."""
+    """Full-precision CSV cells: the shortest decimal that parses back
+    exactly."""
     return map(repr, map(float, values))
 
 
@@ -124,7 +117,7 @@ def _trajectory_cells(r):
     return (*_float_cells((r.t, s.vx, s.vy, s.r, s.X, s.Y, s.psi,
                            r.control[0], r.control[1], r.cost, r.ref_x,
                            r.ref_y, r.clearance)),
-            _fmt(bool(r.converged)))
+            "1" if r.converged else "0")
 
 
 def write_trajectory_csv(path, log):
@@ -132,7 +125,7 @@ def write_trajectory_csv(path, log):
 
 
 def write_metrics_csv(path, metrics):
-    values = tuple(_fmt(getattr(metrics, name)) for name in METRIC_COLUMNS)
+    values = _float_cells(getattr(metrics, name) for name in METRIC_COLUMNS)
     _write_csv(path, METRIC_COLUMNS, [values])
 
 
@@ -144,7 +137,7 @@ def write_path_csvs(out_dir, path):
                (_float_cells((s, *dubins.sample_reference(path, s)))
                 for s in (*path.offsets, path.total_length)))
     _write_csv(os.path.join(out_dir, "waypoints.csv"), ("label", "x", "y"),
-               ((label, _fmt(x), _fmt(y)) for label, (x, y)
+               ((label, *_float_cells(point)) for label, point
                 in zip(path.waypoint_labels(), path.waypoints)))
 
 
@@ -203,7 +196,8 @@ def main(argv=None):
     params = VehicleParams()
     try:
         cfg, params = _apply_overrides(args.overrides, cfg, params)
-        if round(scenario.duration / cfg.dt) > MAX_STEPS:
+        # round(duration / dt) > MAX_STEPS, without rounding an inf.
+        if scenario.duration / cfg.dt > MAX_STEPS + 0.5:
             raise _UsageError(f"duration={scenario.duration!r}, dt={cfg.dt!r}:"
                               f" more than {MAX_STEPS} control steps")
     except _UsageError as exc:

@@ -100,23 +100,9 @@ class StateRates(NamedTuple):
     psi: float
 
 
-def slip_angles(state, delta_f, params):
-    """Front and rear tire slip angles (small-angle form, no arctangent)."""
-    if state.vx < VX_FLOOR:
-        raise LowSpeedError(
-            f"vx={state.vx!r} below the {VX_FLOOR} m/s slip-model floor")
-    alpha_f = (state.vy + params.lf * state.r) / state.vx - delta_f
-    alpha_r = (state.vy - params.lr * state.r) / state.vx
-    return alpha_f, alpha_r
-
-
-def lateral_tire_forces(alpha_f, alpha_r, params):
-    """Linear lateral tire forces: F = -C_alpha * alpha per axle."""
-    return -params.Caf * alpha_f, -params.Car * alpha_r
-
-
 def _rates(vx, vy, r, psi, delta_f, tr, p):
     # Scalar core shared by state_derivative and the integrator stages.
+    # Small-angle slip angles and linear tires, F = -C_alpha * alpha.
     if vx < VX_FLOOR:
         raise LowSpeedError(
             f"vx={vx!r} below the {VX_FLOOR} m/s slip-model floor")

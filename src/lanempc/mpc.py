@@ -277,16 +277,13 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0,
         if rescue.fun < best.fun:
             best = rescue
 
-    if not math.isfinite(best.fun):
-        seq = tuple((warm_clipped[2 * i], warm_clipped[2 * i + 1])
-                    for i in range(cfg.Np))
-        return SolveResult(u0=seq[0], sequence=seq, cost=best.fun, refs=refs,
-                           converged=False, fallback=True, n_eval=n_eval,
-                           hessian=hessian, iterations=best.iterations,
-                           stop=best.stop, residual=best.residual)
-
+    # With no finite cost, best is the warm start's solve, and best.x is
+    # warm_clipped: minimize_box clips its start the same way and returns it.
+    finite = math.isfinite(best.fun)
     seq = tuple((best.x[2 * i], best.x[2 * i + 1]) for i in range(cfg.Np))
     return SolveResult(u0=seq[0], sequence=seq, cost=best.fun, refs=refs,
-                       converged=best.converged, fallback=False, n_eval=n_eval,
-                       hessian=best.hessian, iterations=best.iterations,
-                       stop=best.stop, residual=best.residual)
+                       converged=best.converged, fallback=not finite,
+                       n_eval=n_eval,
+                       hessian=best.hessian if finite else hessian,
+                       iterations=best.iterations, stop=best.stop,
+                       residual=best.residual)

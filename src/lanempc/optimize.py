@@ -24,7 +24,7 @@ class BoxResult:
     converged: bool
     iterations: int
     n_eval: int
-    hessian: tuple       # final B in x units, rows; 0.0 where a span is 0
+    hessian: tuple       # final B in x units, rows
     stop: str            # why the iteration ended (see minimize_box)
     residual: float      # span-scaled projected-gradient maximum at x
 
@@ -37,11 +37,12 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     +inf (gradient ignored) rejects the point.  The iteration keeps a dense
     Hessian estimate B in span-normalised coordinates, exactly symmetric
     and updated in place, frees the coordinates whose gradient points into
-    the box, takes the direction from a Cholesky solve with B's free block,
-    steps along the projection arc with Armijo backtracking, and falls back
-    to steepest descent (and B to the identity) when that block is not
-    positive definite, the direction does not descend, or the line search
-    finds no sufficient decrease along it.
+    the box, takes the direction from a Cholesky solve with B's free block
+    and steps along the projection arc with Armijo backtracking.  When that
+    block is not positive definite, the direction does not descend, or the
+    line search finds no sufficient decrease along it, B restarts at the
+    identity (whose direction is steepest descent) from the same point.
+    Every box span ``upper[j] - lower[j]`` must be positive.
 
     hessian, when given, is an initial estimate of the Hessian in x's own
     units (a list of rows), for instance the ``hessian`` of an earlier
@@ -64,11 +65,10 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     if len(lower) != n or len(upper) != n:
         raise ValueError("lower/upper/x0 lengths differ")
     for j in range(n):
-        if lower[j] > upper[j]:
-            raise ValueError(f"lower[{j}] > upper[{j}]")
+        if not lower[j] < upper[j]:
+            raise ValueError(f"lower[{j}] must be < upper[{j}]")
     span = [upper[j] - lower[j] for j in range(n)]
     rng = range(n)
-    movable = [j for j in rng if span[j] != 0.0]
 
     x = [min(hi, max(lo, v)) for v, lo, hi in zip(x0, lower, upper)]
     fx, gx = fg(x)
@@ -87,7 +87,7 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
         # Projected gradient: the part of -g the box lets the point follow.
         pg = 0.0
         free = []
-        for j in movable:
+        for j in rng:
             gj = g[j]
             if gj > 0.0 and x[j] == lower[j]:
                 continue
@@ -104,9 +104,7 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
             stop = "iteration_cap"
             break
 
-        # Quasi-Newton direction on the free coordinates, B_FF p = -g_F;
-        # steepest descent when B_FF is not positive definite or p does
-        # not descend.
+        # Quasi-Newton direction on the free coordinates, B_FF p = -g_F.
         p = [0.0] * n
         pf = _cholesky_solve(b_mat, free, g)
         slope = 0.0
@@ -114,15 +112,15 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
             for a, v in zip(free, pf):
                 p[a] = -v
                 slope -= g[a] * v
-        if not slope < 0.0:
-            b_mat = [row[:] for row in eye]
-            for a in free:
-                p[a] = -g[a]
-
-        step, used = _line_search(fg, x, fx, g, p, span, lower, upper, free)
-        evals += used
+        step = None
+        if slope < 0.0:
+            step, used = _line_search(fg, x, fx, g, p, span, lower, upper,
+                                      free)
+            evals += used
         if step is None:
-            # Nothing accepted along B's direction: retry from the identity.
+            # No factor, no descent or nothing accepted along B's
+            # direction: retry from the identity, whose direction -g_F
+            # descends whenever the tolerance test has not stopped the loop.
             if b_mat == eye:
                 stop = "line_search"
                 break
@@ -137,7 +135,7 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
         y = [0.0] * n
         sy = yy = 0.0
         for j in rng:
-            s[j] = sj = (x_new[j] - x[j]) / span[j] if span[j] else 0.0
+            s[j] = sj = (x_new[j] - x[j]) / span[j]
             y[j] = yj = g_new[j] - g[j]
             sy += sj * yj
             yy += yj * yj
@@ -161,8 +159,7 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
             for b in range(a, n):
                 v = row[b] - ba * bs[b] / sbs + ya * y[b] / sy
                 row[b] = b_mat[b][a] = v
-    b_end = tuple([tuple([v / (sa * sb) if sa and sb else 0.0
-                          for v, sb in zip(row, span)])
+    b_end = tuple([tuple([v / (sa * sb) for v, sb in zip(row, span)])
                    for row, sa in zip(b_mat, span)])
     return BoxResult(tuple(x), fx, stop == "tolerance", iterations, evals,
                      b_end, stop, pg)
@@ -206,7 +203,8 @@ def _cholesky_solve(b_mat, free, g):
 def _line_search(fg, x, fx, g, p, span, lower, upper, free):
     """Armijo backtracking along the projection arc x(t) = P(x + t p).
 
-    p and g are in span units.  The first trial moves the largest
+    p and g are in span units, and p descends (g'p < 0), so some free
+    entry of p is nonzero.  The first trial moves the largest
     coordinate by at most one span; a trial x_t is accepted when
     dec = g'(x_t - x) < 0 and f(x_t) <= f(x) + _ARMIJO * dec.  Returns
     ((x, f, scaled gradient) of the first accepted point or None,
@@ -218,8 +216,6 @@ def _line_search(fg, x, fx, g, p, span, lower, upper, free):
         v = abs(p[a])
         if v > pmax:
             pmax = v
-    if pmax == 0.0:
-        return None, 0
     t = min(1.0, 1.0 / pmax)
     used = 0
     for _ in range(_MAX_HALVINGS):

@@ -12,6 +12,14 @@ from dataclasses import dataclass
 from .dynamics import VehicleState
 
 
+def _require_finite(obj, names):
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite,"
+                             f" got {value!r}")
+
+
 @dataclass(frozen=True)
 class Road:
     """Straight two-lane road: lanes 0 (lower) and 1 (upper), each
@@ -22,6 +30,7 @@ class Road:
     lower_boundary_y: float = -1.75
 
     def __post_init__(self):
+        _require_finite(self, ("lane_width", "lower_boundary_y"))
         if self.lane_width <= 0:
             raise ValueError(f"lane_width must be > 0, got {self.lane_width!r}")
 
@@ -70,6 +79,9 @@ class Obstacle:
     acceleration: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("x0", "y0", "length", "width", "safety_gap",
+                               "initial_speed", "target_speed",
+                               "acceleration"))
         if self.length <= 0 or self.width <= 0:
             raise ValueError("obstacle footprint must be positive")
         if self.safety_gap < 0:
@@ -96,6 +108,7 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        _require_finite(self, ("duration",))
         if self.duration <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration!r}")
         ego = self.ego_initial

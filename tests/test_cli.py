@@ -121,11 +121,13 @@ def test_non_finite_override_is_refused(tmp_path, capsys, override):
     (1e9, [], "duration=1000000000.0, dt=0.1"),
     (6.0, ["--set", "dt=1e-9"], "duration=6.0, dt=1e-09"),
     (1e6, ["--dump-path"], "duration=1000000.0, dt=0.1"),
-], ids=["duration", "dt", "dump"])
+    (6.0, ["--set", "dt=1e-320"], "duration=6.0, dt=1e-320"),
+], ids=["duration", "dt", "dump", "dt_overflow"])
 def test_run_of_too_many_steps_is_refused(tmp_path, capsys, duration,
                                           overrides, named):
-    # 10^10, 6·10^9 and 10^7 control steps: refused at once instead of
-    # simulated, and before --dump-path plans or writes anything.
+    # 10^10, 6·10^9, 10^7 and an inf of control steps (6 / 1e-320
+    # overflows): refused at once instead of simulated, and before
+    # --dump-path plans or writes anything.
     p = tmp_path / "long.json"
     p.write_text(json.dumps({"road": {}, "ego": {}, "duration": duration}))
     out = tmp_path / "out"

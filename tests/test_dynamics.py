@@ -5,48 +5,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanempc.dynamics import (ControlInput, LowSpeedError, VehicleParams,
-                              VehicleState, lateral_tire_forces, slip_angles,
-                              state_derivative, step)
+                              VehicleState, state_derivative, step)
 
 
 def S(vx=10.0, vy=0.0, r=0.0, X=0.0, Y=0.0, psi=0.0):
     return VehicleState(vx=vx, vy=vy, r=r, X=X, Y=Y, psi=psi)
 
 
+def lateral_rates(state, delta_f, fcf, fcr, p):
+    """The model's vy and r rates for given front / rear tire forces."""
+    lateral = fcf * math.cos(delta_f) + fcr
+    return (-state.r * state.vx + (2.0 / p.m) * lateral,
+            (2.0 / p.Iz) * (p.lf * fcf - p.lr * fcr))
+
+
+def assert_tire_forces(state, delta_f, fcf, fcr, p):
+    """state_derivative's vy and r rates at zero torque are those of the
+    tire forces (fcf, fcr)."""
+    d = state_derivative(state, ControlInput(delta_f=delta_f), p)
+    want = lateral_rates(state, delta_f, fcf, fcr, p)
+    assert (d.vy, d.r) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 class TestSlipAngles:
+    """Slip angles alpha_f = (vy + lf r) / vx - delta_f and alpha_r =
+    (vy - lr r) / vx, seen through the forces -C * alpha in the rates."""
+
     def test_straight_line(self, params):
-        assert slip_angles(S(), 0.0, params) == (0.0, 0.0)
+        d = state_derivative(S(), ControlInput(), params)
+        assert (d.vy, d.r) == (0.0, 0.0)
 
     def test_worked_values(self, params):
-        # alpha_f = (0.5 + 1.2*0.1)/10 - 0.05, alpha_r = (0.5 - 1.05*0.1)/10
-        af, ar = slip_angles(S(vy=0.5, r=0.1), 0.05, params)
-        assert af == pytest.approx(0.012, abs=1e-12)
-        assert ar == pytest.approx(0.0395, abs=1e-12)
+        # alpha_f = (0.5 + 1.2*0.1)/10 - 0.05 = 0.012,
+        # alpha_r = (0.5 - 1.05*0.1)/10 = 0.0395
+        assert_tire_forces(S(vy=0.5, r=0.1), 0.05, -12000.0 * 0.012,
+                           -12000.0 * 0.0395, params)
 
     def test_pure_steering_offset(self, params):
-        af, ar = slip_angles(S(), 0.1, params)
-        assert af == pytest.approx(-0.1, abs=1e-15)
-        assert ar == 0.0
+        # alpha_f = -0.1, alpha_r = 0
+        assert_tire_forces(S(), 0.1, 1200.0, 0.0, params)
 
     def test_rejects_low_speed(self, params):
         slow = VehicleState(vx=0.05)
         with pytest.raises(LowSpeedError):
-            slip_angles(slow, 0.0, params)
+            state_derivative(slow, ControlInput(), params)
 
 
 class TestTireForces:
     def test_zero_slip(self, params):
-        assert lateral_tire_forces(0.0, 0.0, params) == (-0.0, -0.0)
+        # vy = lr r and delta_f = (lf + lr) r / vx: both slip angles 0, so
+        # only the kinematic term -r vx is left.
+        assert_tire_forces(S(vy=0.105, r=0.1), 0.0225, 0.0, 0.0, params)
 
     def test_table_stiffness(self, params):
-        fcf, fcr = lateral_tire_forces(0.01, 0.01, params)
-        assert fcf == pytest.approx(-120.0, rel=1e-12)
-        assert fcr == pytest.approx(-120.0, rel=1e-12)
+        # alpha_f = alpha_r = 0.01 at 12000 N/rad per axle
+        assert_tire_forces(S(vy=0.1), 0.0, -120.0, -120.0, params)
 
     def test_sign_convention(self, params):
-        fcf, fcr = lateral_tire_forces(-0.01, 0.02, params)
-        assert fcf == pytest.approx(120.0, rel=1e-12)
-        assert fcr == pytest.approx(-240.0, rel=1e-12)
+        # alpha_f = 0.02 - 0.03 = -0.01, alpha_r = 0.02
+        assert_tire_forces(S(vy=0.2), 0.03, 120.0, -240.0, params)
 
 
 class TestStateDerivative:
@@ -149,20 +166,17 @@ def test_mirror_symmetry_is_exact(vy, r, psi, Y, d, tq):
        vy2=st.floats(-1, 1), r2=st.floats(-0.5, 0.5), d2=st.floats(-0.5, 0.5),
        a=st.floats(-2, 2), b=st.floats(-2, 2))
 def test_slip_to_force_linearity(vy1, r1, d1, vy2, r2, d2, a, b):
-    # slip_angles composed with lateral_tire_forces is linear in
-    # (vy, r, delta_f) at fixed vx.
+    # Linear slip angles and linear tires make the yaw-rate derivative
+    # linear in (vy, r, delta_f) at fixed vx and zero torque.
     params = VehicleParams()
 
-    def force(vy, r, d):
-        af, ar = slip_angles(S(vy=vy, r=r), d, params)
-        return lateral_tire_forces(af, ar, params)
+    def r_dot(vy, r, d):
+        return state_derivative(S(vy=vy, r=r), ControlInput(delta_f=d),
+                                params).r
 
-    f1 = force(vy1, r1, d1)
-    f2 = force(vy2, r2, d2)
-    fc = force(a * vy1 + b * vy2, a * r1 + b * r2, a * d1 + b * d2)
-    for i in range(2):
-        want = a * f1[i] + b * f2[i]
-        assert fc[i] == pytest.approx(want, rel=1e-9, abs=1e-6)
+    want = a * r_dot(vy1, r1, d1) + b * r_dot(vy2, r2, d2)
+    got = r_dot(a * vy1 + b * vy2, a * r1 + b * r2, a * d1 + b * d2)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-6)
 
 
 def test_params_validation():

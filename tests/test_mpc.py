@@ -267,13 +267,16 @@ class TestSolveStep:
         # crawling with strong reverse rotation: every control sequence
         # drives the predicted speed below the floor
         state = VehicleState(vx=0.2, vy=-2.0, r=2.0, X=10.0, Y=0.0, psi=0.0)
-        warm = ((0.1, -50.0),) * 3
+        # (the last two pairs reach outside the box)
+        warm = ((0.1, -50.0), (1.0, -50.0), (0.1, -400.0))
         res = solve_step(state, sc, path, params, cfg, warm)
         assert res.fallback and not res.converged
         assert res.cost == math.inf
         for d, tq in res.sequence:
             assert -cfg.delta_max <= d <= cfg.delta_max
             assert -cfg.Tb_max <= tq <= cfg.Td_max
+        assert res.sequence == ((0.1, -50.0), (cfg.delta_max, -50.0),
+                                (0.1, -cfg.Tb_max))
 
     def _recorded_starts(self, monkeypatch, params, cfg, state, warm):
         """solve_step's result and the start of each minimize_box call."""

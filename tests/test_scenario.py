@@ -25,6 +25,16 @@ class TestRoad:
         with pytest.raises(ValueError):
             Road().centreline_y(2)
 
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"lane_width": math.nan}, "Road.lane_width"),
+        ({"lane_width": math.inf}, "Road.lane_width"),
+        ({"lower_boundary_y": math.inf}, "Road.lower_boundary_y"),
+        ({"lower_boundary_y": -math.inf}, "Road.lower_boundary_y"),
+    ])
+    def test_nonfinite_value_is_refused_by_name(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"{named} must be finite"):
+            Road(**kwargs)
+
 
 class TestObstaclePose:
     def test_identity_at_zero(self):
@@ -166,6 +176,29 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(road=Road(), obstacles=(),
                      ego_initial=VehicleState(vx=10.0), duration=0.0)
+
+    def test_nonfinite_duration_is_refused_by_name(self):
+        for duration in (math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="Scenario.duration must be finite"):
+                Scenario(road=Road(), obstacles=(),
+                         ego_initial=VehicleState(vx=10.0), duration=duration)
+
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"x0": math.nan}, "x0"),
+        ({"y0": math.inf}, "y0"),
+        ({"length": math.inf}, "length"),
+        ({"width": math.nan}, "width"),
+        ({"safety_gap": math.inf}, "safety_gap"),
+        ({"initial_speed": math.inf}, "initial_speed"),
+        ({"target_speed": math.nan}, "target_speed"),
+        ({"acceleration": -math.inf}, "acceleration"),
+    ])
+    def test_nonfinite_obstacle_value_is_refused_by_name(self, kwargs, named):
+        fields = {"x0": 30.0, "y0": 0.0, **kwargs}
+        with pytest.raises(ValueError,
+                           match=f"Obstacle.{named} must be finite"):
+            Obstacle(**fields)
 
     def test_obstacle_speed_profile_consistency(self):
         with pytest.raises(ValueError):
