@@ -14,9 +14,6 @@ from .dynamics import VX_FLOOR
 
 INF = math.inf
 
-# Longest horizon the kernels accept; MpcConfig rejects longer ones.
-MAX_STEPS = 64
-
 
 def _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car, rw,
            dt, yaw_div_m):
@@ -31,8 +28,6 @@ def _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car, rw,
     columns.  Raises ValueError as ``predict_steps`` does.
     """
     n = len(controls) // 2
-    if n > MAX_STEPS:
-        raise ValueError(f"horizon of {n} steps exceeds the cap of {MAX_STEPS}")
     if vx < VX_FLOOR:
         raise ValueError(f"longitudinal speed {vx!r} below floor {VX_FLOOR}")
     sin = math.sin

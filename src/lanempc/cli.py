@@ -27,9 +27,6 @@ TRAJECTORY_COLUMNS = ("t", "vx", "vy", "r", "X", "Y", "psi", "delta_f",
 METRIC_COLUMNS = ("rms_lateral_error", "max_lateral_error", "min_clearance",
                   "yaw_smoothness", "control_saturation_fraction")
 
-# Most control steps, round(duration / dt), that one run may take.
-MAX_STEPS = 100_000
-
 
 class _UsageError(Exception):
     pass
@@ -196,11 +193,8 @@ def main(argv=None):
     params = VehicleParams()
     try:
         cfg, params = _apply_overrides(args.overrides, cfg, params)
-        # round(duration / dt) > MAX_STEPS, without rounding an inf.
-        if scenario.duration / cfg.dt > MAX_STEPS + 0.5:
-            raise _UsageError(f"duration={scenario.duration!r}, dt={cfg.dt!r}:"
-                              f" more than {MAX_STEPS} control steps")
-    except _UsageError as exc:
+        harness.step_count(scenario, cfg)
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -217,8 +211,7 @@ def _run(args, scenario, cfg, params):
     code.  Raises OSError when args.out cannot be created or written."""
     os.makedirs(args.out, exist_ok=True)
     try:
-        path = dubins.build_lane_change_path(scenario,
-                                             scenario.ego_initial.vx, params)
+        path = dubins.build_lane_change_path(scenario, params)
     except dubins.PathConstructionError as exc:
         print(f"error: cannot plan a path for this scenario: {exc}",
               file=sys.stderr)

@@ -257,37 +257,33 @@ def _catch_time(obstacle, ego_x, ego_vx, t_now, offset=0.0):
     return t_lin + g / rate
 
 
-def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
-                           predict_vx=None):
+def build_lane_change_path(scenario, params, at_time=0.0, ego=None):
     """Construct the avoidance reference path for a scenario.
 
-    vx sets the arc radius (max-lateral-acceleration circle); predict_vx
-    (defaulting to vx) is the speed assumed for the time-of-arrival
-    prediction of moving obstacles, so mid-run rebuilds can keep the design
-    geometry while predicting encounters at the actual speed.  at_time /
-    ego_x anchor the prediction; the default builds from the scenario
-    start.  The path always starts on the home-lane centreline at the
-    scenario's initial x and stays on it up to ego_x: a rebuild is made
-    from the home lane, so every swerve starts ahead of the ego, and
-    traffic already passed or already alongside is not plannable-around
-    any more.
+    The ego's initial vx is the design speed: it sets the arc radius
+    (max-lateral-acceleration circle).  ``ego`` is the ego's VehicleState
+    at at_time (default: the initial state); its vx is the speed assumed
+    for the time-of-arrival prediction of moving obstacles, so rebuilds
+    keep the design geometry while predicting encounters at the actual
+    speed.  The path always starts on the home-lane centreline at the
+    scenario's initial x and stays on it up to the ego's X: a rebuild is
+    made from the home lane, so every swerve starts ahead of the ego, and
+    traffic already passed or alongside is not plannable-around any more.
 
     Raises PathConstructionError when the obstacle layout leaves no room for
     radius-R arcs.
     """
     road = scenario.road
-    if vx <= 0.0:
-        raise PathConstructionError(f"need vx > 0, got {vx!r}")
-
-    radius = min_turn_radius(vx, params)
+    ego0 = scenario.ego_initial
+    if ego is None:
+        ego = ego0
+    radius = min_turn_radius(ego0.vx, params)
     h = road.lane_width
     diag = MID_STRAIGHT
     theta, s_len = _change_geometry(radius, h, diag)
 
-    ego0 = scenario.ego_initial
     x_start = ego0.X
-    ex = x_start if ego_x is None else max(x_start, ego_x)
-    pvx = vx if predict_vx is None else predict_vx
+    ex = max(x_start, ego.X)
 
     # Home lane = nearest centreline to the ego's initial y.
     home = min((0, 1), key=lambda i: abs(ego0.Y - road.centreline_y(i)))
@@ -308,10 +304,10 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
         if ob.is_moving:
             hx = 0.5 * ob.length + ob.safety_gap + DEFAULT_CORNER_MARGIN
             hy = 0.5 * ob.width + ob.safety_gap + DEFAULT_CORNER_MARGIN
-            t_lead = _catch_time(ob, ex, pvx, at_time, offset=-hx)
+            t_lead = _catch_time(ob, ex, ego.vx, at_time, offset=-hx)
             if t_lead is None:
                 continue  # never reached; cannot obstruct the ego
-            t_trail = _catch_time(ob, ex, pvx, at_time, offset=hx)
+            t_trail = _catch_time(ob, ex, ego.vx, at_time, offset=hx)
             if t_trail is None:
                 # Pass never completes; block out to the end of the run.
                 t_trail = max(t_lead, scenario.duration)
@@ -419,7 +415,7 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
 
     # Assemble segments; junctions are stored once and shared between
     # neighbouring segments so continuity is exact.
-    x_end = max(x_start + vx * scenario.duration,
+    x_end = max(x_start + ego0.vx * scenario.duration,
                 (plan[-1][1] + s_len) if plan else x_start) + _TAIL
     segments = []
     waypoints = [(x_start, y_home)]
@@ -486,7 +482,7 @@ def build_lane_change_path(scenario, vx, params, at_time=0.0, ego_x=None,
         total += seg.length
     path = ReferencePath(segments=tuple(segments), waypoints=tuple(waypoints),
                          total_length=total, offsets=tuple(offsets),
-                         design_speed=vx)
+                         design_speed=ego0.vx)
 
     _validate(path, road, frozen)
     return path

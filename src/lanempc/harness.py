@@ -24,6 +24,9 @@ from .scenario import min_obstacle_clearance
 # Consecutive non-finite solves tolerated before a run aborts.
 _MAX_FALLBACKS = 3
 
+# Most control steps, round(duration / dt), that one run may take.
+_MAX_STEPS = 100_000
+
 # Two-level baseline (editorial): lookahead distance (m) and proportional
 # torque gain (N m per m/s of speed error).  The short lookahead makes the
 # tracker tight enough to stay clear of obstacle boundaries at the cost of
@@ -73,6 +76,16 @@ class _Abort(Exception):
     """A controller's reason to stop the run; ``run`` attaches the log."""
 
 
+def step_count(scenario, cfg):
+    """The run's control steps, round(duration / dt); raises ValueError
+    when that is more than _MAX_STEPS."""
+    # Compared before rounding, so that an inf quotient is refused too.
+    if scenario.duration / cfg.dt > _MAX_STEPS + 0.5:
+        raise ValueError(f"duration={scenario.duration!r}, dt={cfg.dt!r}:"
+                         f" more than {_MAX_STEPS} control steps")
+    return int(round(scenario.duration / cfg.dt))
+
+
 def run(scenario, params, cfg, controller="integrated", path=None):
     """Simulate a scenario closed-loop under ``controller`` ("integrated"
     or "two_level") and return the SimulationLog.
@@ -80,16 +93,16 @@ def run(scenario, params, cfg, controller="integrated", path=None):
     Static-obstacle runs plan the reference once.  Dynamic runs rebuild it
     against predicted obstacle positions at each step where the current plan
     has the ego on its home-lane straight; in a swerve they drive the plan
-    they have.  ``path``, when given, is the initial plan already built at
-    the ego's initial speed (as ``build_lane_change_path(scenario,
-    scenario.ego_initial.vx, params)`` returns it), so a caller that has it
-    is spared a rebuild.
-    Raises SimulationAborted (with the partial log attached) on plant
-    failure or persistent solver failure.
+    they have.  ``path``, when given, is the initial plan already built
+    (as ``build_lane_change_path(scenario, params)`` returns it), so a
+    caller that has it is spared a rebuild.
+    Raises ValueError for an unknown controller or a run of more than
+    100,000 steps (see ``step_count``), and SimulationAborted (with the
+    partial log attached) on plant failure or persistent solver failure.
     """
     if controller not in _CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
-    n_steps = int(round(scenario.duration / cfg.dt))
+    n_steps = step_count(scenario, cfg)
     dynamic = any(ob.is_moving for ob in scenario.obstacles)
     rows = []
 
@@ -98,20 +111,18 @@ def run(scenario, params, cfg, controller="integrated", path=None):
             cause, SimulationLog(tuple(rows), cfg.dt, controller))
 
     state = scenario.ego_initial
-    design_vx = scenario.ego_initial.vx
     if path is None:
-        path = build_lane_change_path(scenario, design_vx, params)
+        path = build_lane_change_path(scenario, params)
     control = _CONTROLLERS[controller](scenario, params, cfg)
     for k in range(n_steps + 1):
         t = k * cfg.dt
         if dynamic and k > 0 and _on_home_straight(path, state):
             try:
-                # Rebuilt at the manoeuvre design speed: the arc radius and
-                # arrival predictions stay consistent even as the actual
-                # speed drifts (the cost has no speed setpoint).
-                path = build_lane_change_path(scenario, design_vx, params,
-                                              at_time=t, ego_x=state.X,
-                                              predict_vx=state.vx)
+                # The arc radius stays at the manoeuvre design speed even
+                # as the actual speed drifts (the cost has no speed
+                # setpoint); arrivals are predicted at the ego's speed.
+                path = build_lane_change_path(scenario, params, at_time=t,
+                                              ego=state)
             except PathConstructionError:
                 # Boxed in: drive the last feasible plan and let the
                 # clearance metric judge the outcome.
@@ -150,11 +161,8 @@ def _integrated(scenario, params, cfg):
 
     def control(state, path, t):
         nonlocal warm, hessian, fallbacks
-        try:
-            res = solve_step(state, scenario, path, params, cfg, warm,
-                             at_time=t, hessian=hessian)
-        except dynamics.LowSpeedError as exc:
-            raise _Abort(f"predictor singular at t={t:.2f}: {exc}") from exc
+        res = solve_step(state, scenario, path, params, cfg, warm,
+                         at_time=t, hessian=hessian)
         fallbacks = fallbacks + 1 if res.fallback else 0
         if fallbacks >= _MAX_FALLBACKS:
             raise _Abort(f"solver produced no finite cost for {fallbacks} "

@@ -10,8 +10,6 @@ from . import _core_py
 
 _BACKENDS = {"python": _core_py}
 
-MAX_STEPS = _core_py.MAX_STEPS
-
 
 def available():
     """Names of the importable backends, preferred first."""

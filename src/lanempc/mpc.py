@@ -29,10 +29,10 @@ def _is_int(value):
 class MpcConfig:
     """Horizon, weights, and actuator bounds for the receding-horizon solve.
 
-    Np: prediction horizon (steps); dt: control period (s); a1: attractive
-    weight; b1/b2: upper/lower boundary repulsion weights; b3: yaw
-    acceleration weight; delta_max: steering bound (rad); Td_max/Tb_max:
-    driving/braking torque bounds (N m).
+    Np: prediction horizon (steps, 1..64); dt: control period (s); a1:
+    attractive weight; b1/b2: upper/lower boundary repulsion weights; b3:
+    yaw acceleration weight; delta_max: steering bound (rad);
+    Td_max/Tb_max: driving/braking torque bounds (N m).
 
     predictor_yaw_divisor selects "Iz" (physical) or "m" (reproduces a
     quirk of the discrete predictor as sometimes written).  yaw_accel_diff
@@ -69,8 +69,8 @@ class MpcConfig:
     yaw_accel_diff: str = "forward"
 
     def __post_init__(self):
-        if not (_is_int(self.Np) and 1 <= self.Np <= kernels.MAX_STEPS):
-            raise ValueError(f"Np must be an int in 1..{kernels.MAX_STEPS}")
+        if not (_is_int(self.Np) and 1 <= self.Np <= 64):
+            raise ValueError("Np must be an int in 1..64")
         for name in ("dt", "a1", "b1", "b2", "b3", "delta_max", "Td_max",
                      "Tb_max", "obstacle_weight", "solver_tol"):
             if not math.isfinite(getattr(self, name)):

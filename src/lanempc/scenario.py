@@ -30,7 +30,8 @@ class Road:
     lower_boundary_y: float = -1.75
 
     def __post_init__(self):
-        _require_finite(self, ("lane_width", "lower_boundary_y"))
+        _require_finite(self, ("lane_width", "lower_boundary_y",
+                               "upper_boundary_y"))
         if self.lane_width <= 0:
             raise ValueError(f"lane_width must be > 0, got {self.lane_width!r}")
 

@@ -57,8 +57,7 @@ def mirrored(scenario):
 def planned_path(scenario, params):
     """The t=0 plan, or None when the planner refuses the layout."""
     try:
-        return build_lane_change_path(scenario, scenario.ego_initial.vx,
-                                      params)
+        return build_lane_change_path(scenario, params)
     except PathConstructionError:
         return None
 

@@ -11,17 +11,26 @@ and 8 with ``--controller both``, and the static scenario's aborts at
 also prints one digest over every logged row and abort message of both
 controllers on the closed-loop fuzz layouts (tests/fuzz_layouts.py).
 
-Run it at two commits and compare the listings (the CLI cases take about
-10 s; fuzz seeds 1-300 about 25 s more):
+The first line names the platform (Python version and ``sys.platform``),
+because the digests depend on its ``libm``.  Run it at two commits and
+compare the listings (the CLI cases take a few seconds; fuzz seeds 1-300
+about 15 s more):
 
     PYTHONPATH=src python tests/output_digest.py > digest.txt
     PYTHONPATH=src python tests/output_digest.py 1 300 > digest.txt
+
+tests/golden_digests.txt is this listing with fuzz seeds 1-40, and
+tests/test_golden_outputs.py checks every output against it.  A change
+that alters an output on purpose regenerates it:
+
+    PYTHONPATH=src python tests/output_digest.py 1 40 > tests/golden_digests.txt
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 import tempfile
 
@@ -118,13 +127,27 @@ def digest_fuzz(first, last):
     return f"fuzz seeds {first}-{last}: {runs} runs {h.hexdigest()}"
 
 
-def main(argv):
+def platform_header():
+    """The listing's first line: the platform the digests were made on."""
+    return f"# python {platform.python_version()} {sys.platform}"
+
+
+def listing(seeds=None):
+    """The lines after the header: each case's label, then its digest
+    lines indented; with ``seeds = (first, last)``, the fuzz line."""
     for label, (name, *options) in cases():
-        print(label)
+        yield label
         for line in digest_case(name, options):
-            print(f"  {line}")
-    if len(argv) > 1:
-        print(digest_fuzz(int(argv[0]), int(argv[1])))
+            yield f"  {line}"
+    if seeds:
+        yield digest_fuzz(*seeds)
+
+
+def main(argv):
+    print(platform_header())
+    seeds = (int(argv[0]), int(argv[1])) if len(argv) > 1 else None
+    for line in listing(seeds):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ def static_runs(table_params, default_cfg):
     log = run(sc, table_params, default_cfg)
     elapsed = time.monotonic() - t0
     baseline = run(sc, table_params, default_cfg, controller="two_level")
-    path = build_lane_change_path(sc, 10.0, table_params)
+    path = build_lane_change_path(sc, table_params)
     return sc, log, baseline, path, elapsed
 
 
@@ -57,7 +57,7 @@ def dynamic_runs(table_params, default_cfg):
     log = run(sc, table_params, default_cfg)
     elapsed = time.monotonic() - t0
     baseline = run(sc, table_params, default_cfg, controller="two_level")
-    path = build_lane_change_path(sc, 10.0, table_params)
+    path = build_lane_change_path(sc, table_params)
     return sc, log, baseline, path, elapsed
 
 
@@ -100,7 +100,7 @@ def test_criterion_1_predictor_equation_fidelity(table_params):
 def test_criterion_2_path_geometry(table_params):
     t0 = time.monotonic()
     sc = load_scenario("static_three_vehicle")
-    path = build_lane_change_path(sc, 10.0, table_params)
+    path = build_lane_change_path(sc, table_params)
     R = min_turn_radius(10.0, table_params)
     ok = abs(R - 100.0 / (0.5 * 9.81)) < 1e-9 and round(R, 3) == 20.387
     arcs = [s for s in path.segments if s.kind == "arc"]
@@ -129,7 +129,7 @@ def test_criterion_3_solver_grid_oracle(table_params):
     t0 = time.monotonic()
     cfg = MpcConfig(Np=1)
     sc = load_scenario("static_three_vehicle")
-    path = build_lane_change_path(sc, 10.0, table_params)
+    path = build_lane_change_path(sc, table_params)
     rng = random.Random(2024)
     worst_rel = 0.0
     for _ in range(5):
@@ -204,7 +204,7 @@ def test_criterion_7_numerical_hygiene(table_params, default_cfg):
     cfg = default_cfg
     # (a) finite-difference gradient consistency at random in-box points
     sc = load_scenario("static_three_vehicle")
-    path = build_lane_change_path(sc, 10.0, table_params)
+    path = build_lane_change_path(sc, table_params)
     state = VehicleState(vx=10.0, X=30.0, Y=0.3, psi=0.02)
     refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
     objective = horizon_objective(kernels.active().horizon_cost, state, sc,

@@ -160,7 +160,7 @@ def test_far_obstacle_dump_writes_one_row_per_segment(tmp_path, params):
     assert rc == 0
     with open(p) as fh:
         sc = scenario_from_dict(json.load(fh))
-    path = dubins.build_lane_change_path(sc, sc.ego_initial.vx, params)
+    path = dubins.build_lane_change_path(sc, params)
     assert path.total_length > 2e5
     rows = read_path_csv(tmp_path / "reference_path.csv")
     assert len(rows) == len(path.segments) + 1
@@ -381,7 +381,7 @@ def test_path_csv_round_trips_the_segments(tmp_path, params, request, name):
     # One row per segment start, plus the end: each is sample_reference at
     # that arclength, bit for bit.
     sc = request.getfixturevalue(name)
-    path = dubins.build_lane_change_path(sc, sc.ego_initial.vx, params)
+    path = dubins.build_lane_change_path(sc, params)
     cli.write_path_csvs(tmp_path, path)
     rows = read_path_csv(tmp_path / "reference_path.csv")
     assert len(rows) == len(path.segments) + 1

@@ -33,7 +33,7 @@ class TestMinTurnRadius:
 class TestConstruction:
     def test_no_obstacles_degenerates_to_centreline(self, params,
                                                     empty_scenario):
-        path = build_lane_change_path(empty_scenario, 10.0, params)
+        path = build_lane_change_path(empty_scenario, params)
         assert len(path.segments) == 1
         assert path.segments[0].kind == "line"
         assert len(path.waypoints) == 2
@@ -41,7 +41,7 @@ class TestConstruction:
             assert y == 0.0 and heading == 0.0 and curvature == 0.0
 
     def test_arc_radii_match_turn_radius(self, params, static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         R = min_turn_radius(10.0, params)
         arcs = [s for s in path.segments if s.kind == "arc"]
         assert arcs
@@ -50,7 +50,7 @@ class TestConstruction:
 
     def test_joint_continuity(self, params, static_scenario):
         from lanempc.dubins import _sample_segment
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         for a, b in zip(path.segments, path.segments[1:]):
             xe, ye, he, _ = _sample_segment(a, a.length)
             xs, ys, hs, _ = _sample_segment(b, 0.0)
@@ -59,7 +59,7 @@ class TestConstruction:
 
     def test_curvature_at_limit_and_lateral_extremum(self, params,
                                                      static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         R = min_turn_radius(10.0, params)
         max_curv = max(abs(c) for _, _, _, c in _samples(path))
         assert max_curv == pytest.approx(1.0 / R, rel=1e-12)
@@ -68,12 +68,12 @@ class TestConstruction:
 
     def test_stays_inside_road(self, params, static_scenario):
         road = static_scenario.road
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         for _, y, _, _ in _samples(path):
             assert road.lower_boundary_y < y < road.upper_boundary_y
 
     def test_clears_inflated_obstacles(self, params, static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         rects = [obstacle_boundary_at(ob, 0.0)
                  for ob in static_scenario.obstacles]
         for x, y, _, _ in _samples(path):
@@ -81,14 +81,14 @@ class TestConstruction:
                 assert rect_signed_distance((x, y), rect) > 0.0
 
     def test_monotone_arclength_positions(self, params, static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         prev_x = -1.0
         for x, _, _, _ in _samples(path):
             assert x > prev_x
             prev_x = x
 
     def test_waypoints_lie_on_path(self, params, static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         for wx, wy in path.waypoints:
             _, dist = nearest_arclength(path, wx, wy)
             assert dist < 1e-9
@@ -100,8 +100,8 @@ class TestConstruction:
             obstacles=tuple(Obstacle(x0=o.x0, y0=-o.y0) for o in sc.obstacles),
             ego_initial=VehicleState(vx=10.0),
             duration=sc.duration)
-        a = build_lane_change_path(sc, 10.0, params)
-        b = build_lane_change_path(mirrored, 10.0, params)
+        a = build_lane_change_path(sc, params)
+        b = build_lane_change_path(mirrored, params)
         assert a.total_length == pytest.approx(b.total_length, abs=1e-9)
         n = 500
         for i in range(n + 1):
@@ -117,14 +117,14 @@ class TestConstruction:
         sc = Scenario(road=Road(), obstacles=(Obstacle(x0=8.0, y0=0.0),),
                       ego_initial=VehicleState(vx=10.0), duration=5.0)
         with pytest.raises(PathConstructionError):
-            build_lane_change_path(sc, 10.0, params)
+            build_lane_change_path(sc, params)
 
     def test_road_blocked_across_both_lanes(self, params):
         sc = Scenario(road=Road(),
                       obstacles=(Obstacle(x0=60.0, y0=1.75, width=4.0),),
                       ego_initial=VehicleState(vx=10.0), duration=5.0)
         with pytest.raises(PathConstructionError):
-            build_lane_change_path(sc, 10.0, params)
+            build_lane_change_path(sc, params)
 
     def test_close_home_lane_pair_is_taken_as_one(self, params):
         # 12 m gap leaves no room to dip down and climb again at this radius.
@@ -132,21 +132,21 @@ class TestConstruction:
                       obstacles=(Obstacle(x0=45.0, y0=0.0),
                                  Obstacle(x0=57.0, y0=0.0)),
                       ego_initial=VehicleState(vx=10.0), duration=12.0)
-        path = build_lane_change_path(sc, 10.0, params)
+        path = build_lane_change_path(sc, params)
         for x, y, _, _ in _samples(path):
             if 45.0 <= x <= 57.0:
                 assert y > 2.0  # stays out over the whole pair
 
     def test_rebuild_is_idempotent_for_static_obstacles(self, params,
                                                         static_scenario):
-        a = build_lane_change_path(static_scenario, 10.0, params)
-        b = build_lane_change_path(static_scenario, 10.0, params, at_time=3.0)
+        a = build_lane_change_path(static_scenario, params)
+        b = build_lane_change_path(static_scenario, params, at_time=3.0)
         assert a == b
 
 
 class TestSampling:
     def test_endpoints(self, params, static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         x0, y0, h0, _ = sample_reference(path, 0.0)
         assert (x0, y0) == path.waypoints[0]
         assert h0 == 0.0
@@ -154,7 +154,7 @@ class TestSampling:
         assert (xe, ye) == pytest.approx(path.waypoints[-1], abs=1e-9)
 
     def test_mid_arc_curvature(self, params, static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         R = min_turn_radius(10.0, params)
         first_arc = next(s for s in path.segments if s.kind == "arc")
         off = path.offsets[path.segments.index(first_arc)]
@@ -163,7 +163,7 @@ class TestSampling:
         assert c == pytest.approx(first_arc.direction / R, rel=1e-12)
 
     def test_out_of_range_rejected(self, params, empty_scenario):
-        path = build_lane_change_path(empty_scenario, 10.0, params)
+        path = build_lane_change_path(empty_scenario, params)
         with pytest.raises(ValueError):
             sample_reference(path, -0.5)
         with pytest.raises(ValueError):
@@ -172,13 +172,13 @@ class TestSampling:
 
 class TestHorizonReferences:
     def test_straight_line_spacing(self, params, empty_scenario):
-        path = build_lane_change_path(empty_scenario, 10.0, params)
+        path = build_lane_change_path(empty_scenario, params)
         ego = VehicleState(vx=10.0, X=20.0, Y=0.0)
         refs = reference_for_horizon(path, ego, 3, 0.1)
         assert refs == ((21.0, 0.0), (22.0, 0.0), (23.0, 0.0))
 
     def test_clamps_at_path_end(self, params, empty_scenario):
-        path = build_lane_change_path(empty_scenario, 10.0, params)
+        path = build_lane_change_path(empty_scenario, params)
         end = path.waypoints[-1]
         ego = VehicleState(vx=10.0, X=end[0], Y=end[1])
         refs = reference_for_horizon(path, ego, 3, 0.1)
@@ -189,7 +189,7 @@ class TestHorizonReferences:
                                                    static_scenario):
         # Oracle: dense scan for the nearest point, ternary refinement,
         # then arclength marching at the design pace.
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         first_arc = next(s for s in path.segments if s.kind == "arc")
         off = path.offsets[path.segments.index(first_arc)]
         s_mid = off + 0.4 * first_arc.length

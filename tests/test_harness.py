@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -51,10 +52,21 @@ class TestRunContracts:
         with pytest.raises(ValueError):
             run(empty_scenario, params, cfg, controller="three_level")
 
+    def test_run_of_too_many_steps_is_refused(self, params, cfg,
+                                              empty_scenario):
+        # At most 100,000 control steps, compared before rounding: 1e308 s
+        # over 0.1 s is inf.
+        at_cap = dataclasses.replace(empty_scenario, duration=10_000.0)
+        assert harness.step_count(at_cap, cfg) == 100_000
+        for duration in (10_000.1, 1e308):
+            sc = dataclasses.replace(empty_scenario, duration=duration)
+            with pytest.raises(ValueError,
+                               match="more than 100000 control steps"):
+                run(sc, params, cfg)
+
     def test_prebuilt_path_gives_identical_logs(self, params, cfg,
                                                 small_scenario, monkeypatch):
-        path = build_lane_change_path(small_scenario,
-                                      small_scenario.ego_initial.vx, params)
+        path = build_lane_change_path(small_scenario, params)
         rebuilt = {c: run(small_scenario, params, cfg, controller=c)
                    for c in CONTROLLERS}
 
@@ -136,8 +148,7 @@ class TestRunContracts:
     def test_refused_rebuild_drives_the_last_plan(self, params, cfg,
                                                   dynamic_scenario,
                                                   monkeypatch, controller):
-        path0 = build_lane_change_path(
-            dynamic_scenario, dynamic_scenario.ego_initial.vx, params)
+        path0 = build_lane_change_path(dynamic_scenario, params)
         refusals = []
 
         def refuse(*args, **kwargs):
@@ -170,8 +181,7 @@ class TestRunContracts:
             rebuilds[k] = build_lane_change_path(*args, **kwargs)
             return rebuilds[k]
 
-        plan = build_lane_change_path(
-            dynamic_scenario, dynamic_scenario.ego_initial.vx, params)
+        plan = build_lane_change_path(dynamic_scenario, params)
         monkeypatch.setattr(harness, "build_lane_change_path", spy)
         log = run(dynamic_scenario, params, cfg, controller=controller,
                   path=plan)
@@ -213,7 +223,7 @@ class TestBaseline:
         sc = small_scenario
         cfg = MpcConfig(obstacle_weight=0.5)
         log = run(sc, params, cfg, controller="two_level")
-        path = build_lane_change_path(sc, sc.ego_initial.vx, params)
+        path = build_lane_change_path(sc, params)
         for row in log.rows:
             traj = predict(row.state, (row.control,) * cfg.Np, params, cfg)
             refs = reference_for_horizon(path, row.state, cfg.Np, cfg.dt)
@@ -237,7 +247,7 @@ def _synthetic_log(points, rs=None, clearances=None, dt=0.1):
 
 class TestMetrics:
     def test_perfect_tracking_is_zero(self, params, cfg, empty_scenario):
-        path = build_lane_change_path(empty_scenario, 10.0, params)
+        path = build_lane_change_path(empty_scenario, params)
         log = _synthetic_log([(float(i), 0.0) for i in range(20)])
         m = compute_metrics(log, path, cfg)
         assert m.rms_lateral_error == pytest.approx(0.0, abs=1e-12)
@@ -246,14 +256,14 @@ class TestMetrics:
         assert m.control_saturation_fraction == 0.0
 
     def test_constant_yaw_rate_is_smooth(self, params, cfg, empty_scenario):
-        path = build_lane_change_path(empty_scenario, 10.0, params)
+        path = build_lane_change_path(empty_scenario, params)
         log = _synthetic_log([(float(i), 0.0) for i in range(20)],
                              rs=[0.4] * 20)
         m = compute_metrics(log, path, cfg)
         assert m.yaw_smoothness == 0.0
 
     def test_single_offset_sample_rms(self, params, cfg, empty_scenario):
-        path = build_lane_change_path(empty_scenario, 10.0, params)
+        path = build_lane_change_path(empty_scenario, params)
         n = 16
         pts = [(float(i), 0.0) for i in range(n)]
         pts[7] = (7.0, 0.5)
@@ -264,7 +274,7 @@ class TestMetrics:
         assert m.max_lateral_error == pytest.approx(0.5, rel=1e-12)
 
     def test_min_clearance_and_saturation(self, params, cfg, empty_scenario):
-        path = build_lane_change_path(empty_scenario, 10.0, params)
+        path = build_lane_change_path(empty_scenario, params)
         log = _synthetic_log([(float(i), 0.0) for i in range(10)],
                              clearances=[3.0] * 9 + [0.25])
         m = compute_metrics(log, path, cfg)
@@ -278,6 +288,6 @@ class TestMetrics:
         assert m2.control_saturation_fraction == pytest.approx(0.1)
 
     def test_empty_log_rejected(self, params, cfg, empty_scenario):
-        path = build_lane_change_path(empty_scenario, 10.0, params)
+        path = build_lane_change_path(empty_scenario, params)
         with pytest.raises(ValueError):
             compute_metrics(SimulationLog((), 0.1, "integrated"), path, cfg)

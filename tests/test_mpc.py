@@ -44,6 +44,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             MpcConfig(**kwargs)
 
+    def test_horizon_limit_is_64_steps(self):
+        assert MpcConfig(Np=64).Np == 64
+        with pytest.raises(ValueError, match=r"Np must be an int in 1\.\.64"):
+            MpcConfig(Np=65)
+
     @pytest.mark.parametrize("name", ["dt", "b1", "delta_max", "Tb_max",
                                       "solver_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -53,6 +58,23 @@ class TestConfig:
 
 
 class TestPredict:
+    def test_horizon_past_the_config_limit_is_predicted_and_scored(
+            self, params, cfg):
+        # The 1..64 limit on Np is MpcConfig's alone: the predictor and the
+        # kernels take a horizon of any length.
+        seq = ((0.002, 10.0),) * 65
+        traj = predict(S(), seq, params, cfg)
+        assert len(traj.xa) == 65
+        refs = tuple(zip(traj.xa, traj.ya))
+        sc = wide_road_scenario()
+        z = flatten_pairs(seq)
+        j = horizon_objective(kernels.active().horizon_cost, S(), sc, refs,
+                              params, cfg)(z)
+        fg = horizon_objective(kernels.active().horizon_cost_grad, S(), sc,
+                               refs, params, cfg)(z)
+        assert math.isfinite(j)
+        assert fg[0] == j and len(fg[1]) == 130
+
     def test_straight_line_euler(self, params, cfg):
         traj = predict(S(X=5.0), zero_sequence(cfg), params, cfg)
         assert traj.xa == (6.0, 7.0, 8.0)
@@ -190,7 +212,7 @@ class TestSolveStep:
     def test_straight_far_from_boundaries(self, params):
         cfg = MpcConfig()
         sc = wide_road_scenario()
-        path = build_lane_change_path(sc, 10.0, params)
+        path = build_lane_change_path(sc, params)
         res = solve_step(S(X=10.0), sc, path, params, cfg, zero_sequence(cfg))
         assert abs(res.u0[0]) < 1e-3
         refs = reference_for_horizon(path, S(X=10.0), cfg.Np, cfg.dt)
@@ -200,7 +222,7 @@ class TestSolveStep:
         assert j_zero - res.cost < 1e-6
 
     def test_deterministic(self, params, cfg, static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         state = S(vy=0.1, r=0.05, X=25.0, Y=0.2, psi=0.02)
         warm = ((0.05, 20.0),) * 3
         a = solve_step(state, static_scenario, path, params, cfg, warm)
@@ -208,7 +230,7 @@ class TestSolveStep:
         assert a == b
 
     def test_result_always_inside_box(self, params, cfg, static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         warm = ((2.0, 500.0),) * 3  # far outside the box on purpose
         res = solve_step(S(X=30.0, Y=0.5), static_scenario, path, params,
                          cfg, warm)
@@ -217,7 +239,7 @@ class TestSolveStep:
             assert -cfg.Tb_max <= tq <= cfg.Td_max
 
     def test_never_worse_than_warm_start(self, params, cfg, static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         state = S(X=28.0, Y=0.1, psi=0.05)
         warm = ((0.1, 100.0),) * 3
         res = solve_step(state, static_scenario, path, params, cfg, warm)
@@ -228,7 +250,7 @@ class TestSolveStep:
 
     def test_grid_oracle_single_step(self, params, static_scenario):
         cfg = MpcConfig(Np=1)
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         state = S(vy=0.15, r=-0.05, X=31.0, Y=0.4, psi=0.03)
         res = solve_step(state, static_scenario, path, params, cfg,
                          zero_sequence(cfg))
@@ -249,8 +271,8 @@ class TestSolveStep:
             road=Road(lane_width=3.5, lower_boundary_y=-5.25),
             obstacles=tuple(Obstacle(x0=o.x0, y0=-o.y0) for o in sc.obstacles),
             ego_initial=S(), duration=sc.duration)
-        pa = build_lane_change_path(sc, 10.0, params)
-        pb = build_lane_change_path(mirrored, 10.0, params)
+        pa = build_lane_change_path(sc, params)
+        pb = build_lane_change_path(mirrored, params)
         state = S(vy=0.1, r=0.04, X=30.0, Y=0.3, psi=0.02)
         mstate = S(vy=-0.1, r=-0.04, X=30.0, Y=-0.3, psi=-0.02)
         warm = ((0.05, 40.0), (0.02, 10.0), (0.0, 0.0))
@@ -263,7 +285,7 @@ class TestSolveStep:
 
     def test_fallback_when_nothing_is_finite(self, params, cfg):
         sc = wide_road_scenario()
-        path = build_lane_change_path(sc, 10.0, params)
+        path = build_lane_change_path(sc, params)
         # crawling with strong reverse rotation: every control sequence
         # drives the predicted speed below the floor
         state = VehicleState(vx=0.2, vy=-2.0, r=2.0, X=10.0, Y=0.0, psi=0.0)
@@ -288,7 +310,7 @@ class TestSolveStep:
 
         monkeypatch.setattr(mpc, "minimize_box", recording)
         sc = wide_road_scenario()
-        path = build_lane_change_path(sc, 10.0, params)
+        path = build_lane_change_path(sc, params)
         return solve_step(state, sc, path, params, cfg, warm), starts
 
     def test_one_start_from_a_finite_warm_start(self, monkeypatch, params,
@@ -323,7 +345,7 @@ class TestSolveStep:
 
         monkeypatch.setattr(mpc, "minimize_box", recording)
         sc = wide_road_scenario()
-        path = build_lane_change_path(sc, 10.0, params)
+        path = build_lane_change_path(sc, params)
         return solve_step(state, sc, path, params, cfg, warm,
                           hessian=hessian), seeds
 
@@ -334,7 +356,7 @@ class TestSolveStep:
         res, seeds = self._recorded_seeds(monkeypatch, params, cfg, state,
                                           warm)
         sc = wide_road_scenario()
-        path = build_lane_change_path(sc, 10.0, params)
+        path = build_lane_change_path(sc, params)
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
         fg = horizon_objective(kernels.active().horizon_cost_grad, state, sc,
                                refs, params, cfg)
@@ -369,7 +391,7 @@ class TestSolveStep:
 
     def test_fallback_passes_the_estimate_through(self, params, cfg):
         sc = wide_road_scenario()
-        path = build_lane_change_path(sc, 10.0, params)
+        path = build_lane_change_path(sc, params)
         state = VehicleState(vx=0.2, vy=-2.0, r=2.0, X=10.0, Y=0.0, psi=0.0)
         given = ((2.0,) * 6,) * 6
         res = solve_step(state, sc, path, params, cfg, ((0.1, -50.0),) * 3,
@@ -383,7 +405,7 @@ class TestSolveStep:
         # The finite-difference machinery agrees with an independent
         # central-difference evaluation at a coarser step.
         sc = static_scenario
-        path = build_lane_change_path(sc, 10.0, params)
+        path = build_lane_change_path(sc, params)
         state = S(X=30.0, Y=0.3, psi=0.02)
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
         objective = horizon_objective(kernels.active().horizon_cost, state,
@@ -427,7 +449,7 @@ class TestDifferenceHessian:
             assert row == pytest.approx(want, rel=0.0, abs=1e-6)
 
     def test_exactly_symmetric(self, params, cfg, static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         state = S(X=30.0, Y=0.3, psi=0.02)
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
         fg = horizon_objective(kernels.active().horizon_cost_grad, state,

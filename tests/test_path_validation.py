@@ -182,7 +182,7 @@ class TestConstructedCases:
     ], ids=["arc", "line"])
     def test_penetration_between_old_samples_is_caught(self, params,
                                                        static_scenario, pick):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         seg = next(s for s in path.segments if pick(s))
         x, y, _, _ = sample_reference(path,
                                       self._between_old_samples(path, seg))
@@ -196,7 +196,7 @@ class TestConstructedCases:
 
     def test_construction_corners_are_accepted(self, params,
                                                static_scenario):
-        path = build_lane_change_path(static_scenario, 10.0, params)
+        path = build_lane_change_path(static_scenario, params)
         rects = [obstacle_boundary_at(ob, 0.0).inflated(DEFAULT_CORNER_MARGIN)
                  for ob in static_scenario.obstacles]
         dubins._validate(path, static_scenario.road, rects)
@@ -264,13 +264,15 @@ def layouts(draw, anchored=True):
         assume(False)
     anchor = {}
     if anchored and draw(st.booleans()):
-        anchor = dict(at_time=draw(st.floats(0.0, 10.0)),
-                      ego_x=draw(st.floats(0.0, 100.0)),
-                      predict_vx=draw(st.floats(6.0, 13.0)))
+        at_time = draw(st.floats(0.0, 10.0))
+        ego_x = draw(st.floats(0.0, 100.0))
+        predict_vx = draw(st.floats(6.0, 13.0))
+        anchor = dict(at_time=at_time,
+                      ego=VehicleState(vx=predict_vx, X=ego_x))
     return scenario, vx, anchor
 
 
-def _build_spied(scenario, vx, params, **anchor):
+def _build_spied(scenario, params, **anchor):
     """(path, validator arguments), or (None, None) when the build raises."""
     seen = []
     real = dubins._validate
@@ -281,7 +283,7 @@ def _build_spied(scenario, vx, params, **anchor):
 
     with mock.patch.object(dubins, "_validate", spy):
         try:
-            return build_lane_change_path(scenario, vx, params, **anchor), \
+            return build_lane_change_path(scenario, params, **anchor), \
                 seen[0]
         except PathConstructionError:
             return None, None
@@ -300,15 +302,16 @@ def _mirror_of(seg):
 @given(layouts())
 def test_fuzzed_layouts_plan_valid_paths(params, layout):
     scenario, vx, anchor = layout
-    path, checked = _build_spied(scenario, vx, params, **anchor)
+    path, checked = _build_spied(scenario, params, **anchor)
     if path is not None:
         _dense_validate(path, *checked)
         # A rebuild is made from the home lane: every swerve starts ahead
         # of the ego.
         swerves = [seg.start[0] for seg in path.segments if seg.kind == "arc"]
-        assert min(swerves, default=math.inf) >= anchor.get("ego_x", -math.inf)
+        ego_x = anchor["ego"].X if anchor else -math.inf
+        assert min(swerves, default=math.inf) >= ego_x
 
-    mirror, _ = _build_spied(mirrored(scenario), vx, params, **anchor)
+    mirror, _ = _build_spied(mirrored(scenario), params, **anchor)
     assert (mirror is None) == (path is None)
     if path is not None:
         assert mirror.segments == tuple(_mirror_of(s) for s in path.segments)
@@ -317,8 +320,8 @@ def test_fuzzed_layouts_plan_valid_paths(params, layout):
             (path.total_length, path.offsets)
 
     if not anchor and not any(o.is_moving for o in scenario.obstacles):
-        rebuilt, _ = _build_spied(scenario, vx, params, at_time=7.5,
-                                  predict_vx=0.8 * vx)
+        slower = dataclasses.replace(scenario.ego_initial, vx=0.8 * vx)
+        rebuilt, _ = _build_spied(scenario, params, at_time=7.5, ego=slower)
         assert rebuilt == path
 
 
@@ -335,7 +338,7 @@ def test_climb_into_adjacent_lane_traffic_is_refused_by_the_planner(params):
                   duration=15.0)
     with pytest.raises(PathConstructionError,
                        match="adjacent-lane traffic near x=55.36"):
-        build_lane_change_path(sc, 8.0, params)
+        build_lane_change_path(sc, params)
 
 
 # -- merges -----------------------------------------------------------------------
@@ -358,8 +361,8 @@ def test_car_the_plan_already_clears_changes_nothing(params):
     # forward pass that met the first car before learning the second must
     # merge with it used to refuse this ("obstacle near x=17.70 leaves no
     # room to start a radius-20.39 m turn").
-    one = build_lane_change_path(_parked(21.0), 10.0, params)
-    two = build_lane_change_path(_parked(21.0, 27.0), 10.0, params)
+    one = build_lane_change_path(_parked(21.0), params)
+    two = build_lane_change_path(_parked(21.0, 27.0), params)
     assert two.waypoints == one.waypoints
 
 
@@ -367,7 +370,7 @@ def test_gap_that_fits_a_dip_gets_one(params):
     # The cars at x = 94 and 105 are overflown as one group, and the gap
     # from 64 to 94 fits a dip: the path returns to the home lane there
     # instead of flying one swerve from x = 50.67 to 118.33.
-    path = build_lane_change_path(_parked(64.0, 94.0, 105.0), 10.0, params)
+    path = build_lane_change_path(_parked(64.0, 94.0, 105.0), params)
     assert _swerves(path) == 2
     assert any(64.0 < x < 94.0 and y == 0.0 for x, y in path.waypoints)
 
@@ -377,7 +380,7 @@ def test_dip_that_runs_into_adjacent_traffic_is_overflown(params):
     # swerve-out back into the adjacent-lane car at x = 27; the home-lane
     # cars are overflown in one swerve instead.
     path = build_lane_change_path(_parked(42.0, 71.0, 93.0, adjacent=(27.0,)),
-                                  10.0, params)
+                                  params)
     assert _swerves(path) == 1
     assert path.waypoints[1] == pytest.approx((28.67, 0.0), abs=5e-3)
     assert path.waypoints[6] == pytest.approx((106.33, 0.0), abs=5e-3)
@@ -390,7 +393,7 @@ def test_car_the_plan_already_clears_keeps_the_layout_plannable(
         params, layout, data):
     scenario, vx, _ = layout
     try:
-        path = build_lane_change_path(scenario, vx, params)
+        path = build_lane_change_path(scenario, params)
     except PathConstructionError:
         assume(False)
     w = scenario.road.lane_width
@@ -404,7 +407,7 @@ def test_car_the_plan_already_clears_keeps_the_layout_plannable(
     assume(not _raises(dubins._validate, path, scenario.road, [rect]))
     build_lane_change_path(
         dataclasses.replace(scenario, obstacles=scenario.obstacles + (car,)),
-        vx, params)
+        params)
 
 
 # -- rebuilds ------------------------------------------------------------------
@@ -414,13 +417,15 @@ def test_rebuild_that_would_swerve_behind_the_ego_is_refused(params):
     # rebuild with the ego there gives the same plan; one with the ego 1 m
     # further on would need a swerve that started behind the ego.
     sc = _parked(40.0)
-    first = build_lane_change_path(sc, 10.0, params)
+    first = build_lane_change_path(sc, params)
     u = first.waypoints[1][0]
     assert u == pytest.approx(26.67, abs=5e-3)
-    assert build_lane_change_path(sc, 10.0, params, ego_x=u) == first
+    at_u = dataclasses.replace(sc.ego_initial, X=u)
+    assert build_lane_change_path(sc, params, ego=at_u) == first
     with pytest.raises(PathConstructionError,
                        match="no room to start a radius-20.39 m turn"):
-        build_lane_change_path(sc, 10.0, params, ego_x=u + 1.0)
+        build_lane_change_path(
+            sc, params, ego=dataclasses.replace(sc.ego_initial, X=u + 1.0))
 
 
 # -- closed loop ---------------------------------------------------------------

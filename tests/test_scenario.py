@@ -30,6 +30,7 @@ class TestRoad:
         ({"lane_width": math.inf}, "Road.lane_width"),
         ({"lower_boundary_y": math.inf}, "Road.lower_boundary_y"),
         ({"lower_boundary_y": -math.inf}, "Road.lower_boundary_y"),
+        ({"lane_width": 1e308}, "Road.upper_boundary_y"),
     ])
     def test_nonfinite_value_is_refused_by_name(self, kwargs, named):
         with pytest.raises(ValueError, match=f"{named} must be finite"):
