@@ -203,11 +203,8 @@ def _change_geometry(radius, h, diag):
 
 
 def _rise_inv(y, radius, h, theta, diag, s_len):
-    """Longitudinal distance at which the lane change first reaches height y."""
-    if y <= 0.0:
-        return 0.0
-    if y >= h:
-        return s_len
+    """Longitudinal distance at which the lane change first reaches height
+    y, for 0 <= y <= h."""
     y_arc = radius * (1.0 - math.cos(theta))
     if y <= y_arc:
         return math.sqrt(y * (2.0 * radius - y))
@@ -280,7 +277,6 @@ def build_lane_change_path(scenario, params, at_time=0.0, ego=None):
     radius = min_turn_radius(ego0.vx, params)
     h = road.lane_width
     diag = MID_STRAIGHT
-    theta, s_len = _change_geometry(radius, h, diag)
 
     x_start = ego0.X
     ex = max(x_start, ego.X)
@@ -338,6 +334,9 @@ def build_lane_change_path(scenario, params, at_time=0.0, ego=None):
         frozen.append(rect)
 
     blockers.sort()
+    if blockers:
+        # Only a needed lane change has to fit the lane width.
+        theta, s_len = _change_geometry(radius, h, diag)
     # Swerve-back caps only matter for descents still ahead of the ego.
     cap_rects = sorted(c for c in constraints if c[0] >= ex - 1.0)
     constraints.sort()

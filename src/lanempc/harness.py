@@ -161,8 +161,8 @@ def _integrated(scenario, params, cfg):
 
     def control(state, path, t):
         nonlocal warm, hessian, fallbacks
-        res = solve_step(state, scenario, path, params, cfg, warm,
-                         at_time=t, hessian=hessian)
+        res = solve_step(state, scenario.road, path, params, cfg, warm,
+                         hessian=hessian)
         fallbacks = fallbacks + 1 if res.fallback else 0
         if fallbacks >= _MAX_FALLBACKS:
             raise _Abort(f"solver produced no finite cost for {fallbacks} "
@@ -181,6 +181,7 @@ def _two_level(scenario, params, cfg):
     integrated controller's box.  The logged cost is the integrated cost the
     chosen control would score, for side-by-side comparison."""
     vx_ref = scenario.ego_initial.vx
+    road = scenario.road
     wheelbase = params.lf + params.lr
 
     def control(state, path, t):
@@ -195,7 +196,7 @@ def _two_level(scenario, params, cfg):
         torque = min(cfg.Td_max, max(-cfg.Tb_max, torque))
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
         horizon_cost = horizon_objective(kernels.active().horizon_cost,
-                                         state, scenario, refs, params, cfg, t)
+                                         state, road, refs, params, cfg)
         cost = horizon_cost([delta, torque] * cfg.Np)
         return (delta, torque), cost, refs[0], True
 

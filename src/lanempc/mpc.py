@@ -16,7 +16,6 @@ from . import kernels
 from .dubins import reference_for_horizon
 from .dynamics import LowSpeedError
 from .optimize import minimize_box
-from .scenario import obstacle_pose_at
 
 _DIFF_CODES = {"backward": 0, "forward": 1, "centered": 2}
 
@@ -40,9 +39,6 @@ class MpcConfig:
     is the default because it leaves the first step's yaw change unpenalized
     relative to the measured rate, which keeps the closed loop from locking
     in yaw momentum it can only see the consequences of beyond the horizon.
-    obstacle_weight > 0 adds reciprocal-quartic repulsion from obstacle
-    centres to the cost (off by default; obstacles are normally handled by
-    the reference path alone).
 
     solver_tol is the stationarity test of the box solver: a solve counts
     as converged when the largest projected-gradient entry, each control
@@ -62,7 +58,6 @@ class MpcConfig:
     delta_max: float = math.radians(45.0)
     Td_max: float = 200.0
     Tb_max: float = 160.0
-    obstacle_weight: float = 0.0
     solver_tol: float = 1e-6
     solver_max_iter: int = 60
     predictor_yaw_divisor: str = "Iz"
@@ -72,13 +67,13 @@ class MpcConfig:
         if not (_is_int(self.Np) and 1 <= self.Np <= 64):
             raise ValueError("Np must be an int in 1..64")
         for name in ("dt", "a1", "b1", "b2", "b3", "delta_max", "Td_max",
-                     "Tb_max", "obstacle_weight", "solver_tol"):
+                     "Tb_max", "solver_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
-        for name in ("a1", "b1", "b2", "b3", "obstacle_weight", "solver_tol"):
+        for name in ("a1", "b1", "b2", "b3", "solver_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not (_is_int(self.solver_max_iter) and self.solver_max_iter >= 1):
@@ -137,7 +132,7 @@ class SolveResult:
 
 def flatten_pairs(pairs):
     """[a0, b0, a1, b1, ...] from a sequence of pairs: the flat layout the
-    kernels take for controls, reference points and obstacle points."""
+    kernels take for controls and reference points."""
     flat = []
     for pair in pairs:
         flat.append(pair[0])
@@ -158,39 +153,30 @@ def predict(state, seq, params, cfg):
     return PredictedTrajectory(*arrays, r0=state.r)
 
 
-def cost(traj, refs, road, cfg, obstacle_points=()):
+def cost(traj, refs, road, cfg):
     """Potential-field cost of a predicted trajectory on ``road``.
 
     refs is a sequence of (Xd, Yd) pairs, one per horizon step.  A predicted
     point on or beyond one of the road's boundary lines gives +inf
-    (sentinel, not an exception).  obstacle_points adds optional
-    per-obstacle repulsion scored with cfg.obstacle_weight.
+    (sentinel, not an exception).
     """
     return kernels.active().trajectory_cost(
         traj.xa, traj.ya, traj.r, traj.r0, cfg.dt, flatten_pairs(refs),
         road.upper_boundary_y, road.lower_boundary_y,
-        cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,
-        flatten_pairs(obstacle_points), cfg.obstacle_weight)
+        cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code, (), 0.0)
 
 
-def horizon_objective(kernel, state, scenario, refs, params, cfg,
-                      at_time=0.0):
+def horizon_objective(kernel, state, road, refs, params, cfg):
     """``kernel`` (``horizon_cost`` or a derivative variant) bound to one
-    step's problem: the state, refs, road boundaries, cfg's weights and,
-    when cfg.obstacle_weight is set, the obstacle poses at at_time.
-    Returns a function of the flat control sequence."""
-    road = scenario.road
-    obs_points = ()
-    if cfg.obstacle_weight != 0.0:
-        obs_points = [obstacle_pose_at(ob, at_time)
-                      for ob in scenario.obstacles]
+    step's problem: the state, refs, road boundaries and cfg's weights.
+    Obstacles reach it only through refs, the plan's points.  Returns a
+    function of the flat control sequence."""
     sx = (state.vx, state.vy, state.r, state.X, state.Y, state.psi)
     args = (params.m, params.Iz, params.lf, params.lr, params.Caf,
             params.Car, params.Rw, cfg.dt, cfg.yaw_div_m,
             tuple(flatten_pairs(refs)),
             road.upper_boundary_y, road.lower_boundary_y,
-            cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,
-            tuple(flatten_pairs(obs_points)), cfg.obstacle_weight)
+            cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code, (), 0.0)
     return lambda z: kernel(*sx, z, *args)
 
 
@@ -225,8 +211,7 @@ def difference_hessian(fg, x, steps):
                  for a in range(n))
 
 
-def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0,
-               hessian=None):
+def solve_step(state, road, path, params, cfg, warm, hessian=None):
     """One receding-horizon solve; returns the first control plus diagnostics.
 
     Minimizes the horizon cost over the steering/torque box from the warm
@@ -247,7 +232,7 @@ def solve_step(state, scenario, path, params, cfg, warm, at_time=0.0,
     refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
     # (J, dJ/dz) of the flat control sequence z
     objective = horizon_objective(kernels.active().horizon_cost_grad, state,
-                                  scenario, refs, params, cfg, at_time)
+                                  road, refs, params, cfg)
 
     lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
     upper = [cfg.delta_max, cfg.Td_max] * cfg.Np

@@ -8,9 +8,16 @@ U(0.85, 1.15); then the ego's vx times U(0.85, 1.15) and its y from
 U(-0.3, 0.3).  The same seed always gives the same layout.
 
 Run as a script, it sweeps a range of seeds with both controllers and
-prints the counts quoted in ROADMAP.md (seeds 1-300 take about 20 s):
+prints the counts quoted in ROADMAP.md.  With no arguments it sweeps seeds
+1-300 (about 20 s) and compares the lines with tests/fuzz_summary.txt,
+exiting 1 and naming each line that differs; given a range, it only prints:
 
-    PYTHONPATH=src python tests/fuzz_layouts.py 1 300
+    PYTHONPATH=src python tests/fuzz_layouts.py
+    PYTHONPATH=src python tests/fuzz_layouts.py 1 60
+
+A change that alters the summary on purpose regenerates the file (the
+platform header of tests/output_digest.py, then the sweep's lines) and
+gives the reason for each changed line.
 """
 
 import dataclasses
@@ -26,6 +33,8 @@ from lanempc.scenario import Road, Scenario, scenario_from_dict
 
 BASE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                     "dynamic_three_vehicle.json")
+SUMMARY = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "fuzz_summary.txt")
 
 
 def layout(seed):
@@ -81,7 +90,8 @@ def mirror_deviation(log, mirror_log):
 
 
 def sweep(first, last):
-    """Both controllers on every planned layout of seeds first..last."""
+    """Both controllers on every planned layout of seeds first..last: the
+    summary's lines."""
     params, cfg = VehicleParams(), MpcConfig()
     planned = aborted = steps = converged = off_road = 0
     lowest = {}
@@ -107,14 +117,43 @@ def sweep(first, last):
             clearance = min(row.clearance for row in log.rows)
             if clearance < lowest.get(controller, (float("inf"),))[0]:
                 lowest[controller] = (clearance, seed)
-    print(f"seeds {first}-{last}: {planned} layouts planned, "
-          f"{aborted} runs aborted, {off_road} runs off the road")
-    print(f"integrated steps converged: {converged} of {steps}")
+    lines = [f"seeds {first}-{last}: {planned} layouts planned, "
+             f"{aborted} runs aborted, {off_road} runs off the road",
+             f"integrated steps converged: {converged} of {steps}"]
     for controller, (clearance, seed) in sorted(lowest.items()):
-        print(f"{controller}: lowest clearance {clearance:.3f} m "
-              f"(seed {seed})")
+        lines.append(f"{controller}: lowest clearance {clearance:.3f} m "
+                     f"(seed {seed})")
+    return lines
+
+
+def summary_differences(lines, header):
+    """One message per line of ``lines`` (seeds 1-300) that differs from
+    tests/fuzz_summary.txt, plus a note when ``header`` names another
+    platform; empty when they match."""
+    with open(SUMMARY) as fh:
+        golden_header, *expected = fh.read().splitlines()
+    out = []
+    for i in range(max(len(expected), len(lines))):
+        want = expected[i] if i < len(expected) else "<missing>"
+        got = lines[i] if i < len(lines) else "<missing>"
+        if want != got:
+            out.append(f"line {i + 2}: summary {want!r}, now {got!r}")
+    if out and golden_header != header:
+        out.append(f"The summary was made on {golden_header[2:]!r} and this "
+                   f"is {header[2:]!r}; it depends on the platform's libm, so "
+                   "the platform may differ, not the code.")
+    return out
 
 
 if __name__ == "__main__":
-    first, last = map(int, sys.argv[1:3]) if len(sys.argv) > 2 else (1, 300)
-    sweep(first, last)
+    if len(sys.argv) > 2:
+        print("\n".join(sweep(*map(int, sys.argv[1:3]))))
+        sys.exit(0)
+    from output_digest import platform_header
+
+    lines = sweep(1, 300)
+    print("\n".join(lines))
+    differences = summary_differences(lines, platform_header())
+    for message in differences:
+        print(message, file=sys.stderr)
+    sys.exit(1 if differences else 0)

@@ -139,7 +139,7 @@ def test_criterion_3_solver_grid_oracle(table_params):
                              X=rng.uniform(5.0, 60.0),
                              Y=rng.uniform(-0.5, 3.0),
                              psi=rng.uniform(-0.15, 0.15))
-        res = solve_step(state, sc, path, table_params, cfg,
+        res = solve_step(state, sc.road, path, table_params, cfg,
                          zero_sequence(cfg))
         refs = reference_for_horizon(path, state, 1, cfg.dt)
         best = math.inf
@@ -207,8 +207,8 @@ def test_criterion_7_numerical_hygiene(table_params, default_cfg):
     path = build_lane_change_path(sc, table_params)
     state = VehicleState(vx=10.0, X=30.0, Y=0.3, psi=0.02)
     refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-    objective = horizon_objective(kernels.active().horizon_cost, state, sc,
-                                  refs, table_params, cfg)
+    objective = horizon_objective(kernels.active().horizon_cost, state,
+                                  sc.road, refs, table_params, cfg)
 
     rng = random.Random(11)
     spans = [2 * cfg.delta_max, cfg.Td_max + cfg.Tb_max] * cfg.Np

@@ -101,6 +101,21 @@ def test_unknown_override_key_named(tmp_path, capsys):
     assert "warp" in capsys.readouterr().err
 
 
+def test_obstacle_weight_is_an_unknown_override_key(tmp_path, capsys):
+    # The cost has no obstacle term: obstacles reach it through the plan.
+    rc = cli.main(["run", "--scenario", SMALL, "--out", str(tmp_path),
+                   "--set", "obstacle_weight=0.5"])
+    assert rc == 1
+    assert "unknown --set key 'obstacle_weight'" in capsys.readouterr().err
+
+
+def test_override_without_a_value_is_refused(tmp_path, capsys):
+    rc = cli.main(["run", "--scenario", EMPTY, "--out", str(tmp_path),
+                   "--set", "Np"])
+    assert rc == 1
+    assert "--set expects KEY=VALUE, got 'Np'" in capsys.readouterr().err
+
+
 def test_unparsable_override_value(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", EMPTY, "--out", str(tmp_path),
                    "--set", "Np=three"])

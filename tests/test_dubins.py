@@ -126,6 +126,33 @@ class TestConstruction:
         with pytest.raises(PathConstructionError):
             build_lane_change_path(sc, params)
 
+    @staticmethod
+    def _slow_on_wide_lanes(lane_width, obstacles):
+        """An ego at 2 m/s (turn radius 0.815 m) on lanes lane_width wide."""
+        return Scenario(road=Road(lane_width=lane_width,
+                                  lower_boundary_y=-0.5 * lane_width),
+                        obstacles=obstacles,
+                        ego_initial=VehicleState(vx=2.0), duration=8.0)
+
+    def test_free_road_needs_no_swerve_geometry(self, params):
+        # No lane change is planned, so none has to fit the 8 m lane.
+        sc = self._slow_on_wide_lanes(8.0, ())
+        path = build_lane_change_path(sc, params)
+        assert [seg.kind for seg in path.segments] == ["line"]
+        assert path.waypoints == ((0.0, 0.0), (path.total_length, 0.0))
+
+    @pytest.mark.parametrize("lane_width", [8.0, 6.7],
+                             ids=["arc_cannot_span", "turn_past_right_angle"])
+    def test_swerve_too_wide_for_the_turn_radius(self, params, lane_width):
+        # 8.0 m: no turn angle reaches the offset; 6.7 m: only one of at
+        # least a right angle does.
+        sc = self._slow_on_wide_lanes(lane_width,
+                                      (Obstacle(x0=40.0, y0=0.0),))
+        with pytest.raises(PathConstructionError,
+                           match=f"turn radius 0.815 m too small for a "
+                                 f"{lane_width:.3f} m lane offset"):
+            build_lane_change_path(sc, params)
+
     def test_close_home_lane_pair_is_taken_as_one(self, params):
         # 12 m gap leaves no room to dip down and climb again at this radius.
         sc = Scenario(road=Road(),

@@ -11,7 +11,7 @@ from lanempc.dynamics import VehicleState
 from lanempc.harness import (LogRow, Metrics, SimulationAborted,
                              SimulationLog, compute_metrics, run)
 from lanempc.mpc import MpcConfig, cost, predict
-from lanempc.scenario import Obstacle, Road, Scenario, obstacle_pose_at
+from lanempc.scenario import Obstacle, Road, Scenario
 
 
 class TestRunEmptyRoad:
@@ -109,10 +109,8 @@ class TestRunContracts:
                                               empty_scenario, monkeypatch):
         real_solve = harness.solve_step
 
-        def broken_solve(state, scenario, path, p, c, warm, at_time=0.0,
-                         hessian=None):
-            res = real_solve(state, scenario, path, p, c, warm,
-                             at_time=at_time, hessian=hessian)
+        def broken_solve(state, road, path, p, c, warm, hessian=None):
+            res = real_solve(state, road, path, p, c, warm, hessian=hessian)
             return type(res)(u0=res.u0, sequence=res.sequence,
                              cost=math.inf, refs=res.refs, converged=False,
                              fallback=True, n_eval=res.n_eval)
@@ -216,20 +214,17 @@ class TestBaseline:
         log = run(static_scenario, params, cfg, controller="two_level")
         assert log.rows[-1].state.vx == pytest.approx(10.0, abs=0.6)
 
-    def test_logged_cost_is_the_integrated_cost(self, params,
+    def test_logged_cost_is_the_integrated_cost(self, params, cfg,
                                                 small_scenario):
-        # With obstacle terms on, each logged J is what the integrated cost
-        # scores for the applied control held over the horizon.
+        # Each logged J is what the integrated cost scores for the applied
+        # control held over the horizon.
         sc = small_scenario
-        cfg = MpcConfig(obstacle_weight=0.5)
         log = run(sc, params, cfg, controller="two_level")
         path = build_lane_change_path(sc, params)
         for row in log.rows:
             traj = predict(row.state, (row.control,) * cfg.Np, params, cfg)
             refs = reference_for_horizon(path, row.state, cfg.Np, cfg.dt)
-            want = cost(traj, refs, sc.road, cfg,
-                        obstacle_points=[obstacle_pose_at(ob, row.t)
-                                         for ob in sc.obstacles])
+            want = cost(traj, refs, sc.road, cfg)
             assert row.cost == pytest.approx(want, rel=1e-12, abs=0.0), row.t
 
 

@@ -201,3 +201,12 @@ class TestKernelContracts:
         assert yaw_cost(0) == pytest.approx(backward, rel=1e-12)
         assert yaw_cost(1) == pytest.approx(forward, rel=1e-12)
         assert yaw_cost(2) == pytest.approx(centered, rel=1e-12)
+
+    def test_obstacle_repulsion(self):
+        # One point at (1, 0), on its reference, 2 m from an obstacle centre
+        # at (1, 2): only the repulsion term scores, weight * (1 / d^2)^2.
+        mod = kernels.active()
+        got = mod.trajectory_cost((1.0,), (0.0,), (0.0,), 0.0, 0.1,
+                                  (1.0, 0.0), 99.0, -99.0,
+                                  0.0, 0.0, 0.0, 0.0, 1, (1.0, 2.0), 0.5)
+        assert got == pytest.approx(0.5 * (1.0 / 4.0) ** 2, rel=1e-12)

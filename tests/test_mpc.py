@@ -44,6 +44,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             MpcConfig(**kwargs)
 
+    def test_has_no_obstacle_weight(self):
+        # Obstacles reach the cost only through the plan's reference points.
+        with pytest.raises(TypeError):
+            MpcConfig(obstacle_weight=0.5)
+
     def test_horizon_limit_is_64_steps(self):
         assert MpcConfig(Np=64).Np == 64
         with pytest.raises(ValueError, match=r"Np must be an int in 1\.\.64"):
@@ -68,10 +73,10 @@ class TestPredict:
         refs = tuple(zip(traj.xa, traj.ya))
         sc = wide_road_scenario()
         z = flatten_pairs(seq)
-        j = horizon_objective(kernels.active().horizon_cost, S(), sc, refs,
-                              params, cfg)(z)
-        fg = horizon_objective(kernels.active().horizon_cost_grad, S(), sc,
-                               refs, params, cfg)(z)
+        j = horizon_objective(kernels.active().horizon_cost, S(), sc.road,
+                              refs, params, cfg)(z)
+        fg = horizon_objective(kernels.active().horizon_cost_grad, S(),
+                               sc.road, refs, params, cfg)(z)
         assert math.isfinite(j)
         assert fg[0] == j and len(fg[1]) == 130
 
@@ -199,21 +204,14 @@ class TestCost:
         road = Road(lane_width=99.0, lower_boundary_y=-99.0)
         assert cost(traj, refs, road, cfg) == pytest.approx(want, rel=1e-12)
 
-    def test_obstacle_repulsion_extension(self):
-        cfg = MpcConfig(a1=0.0, b1=0.0, b2=0.0, b3=0.0, obstacle_weight=0.5)
-        traj = _flat_traj([0.0])
-        refs = ((1.0, 0.0),)
-        road = Road(lane_width=99.0, lower_boundary_y=-99.0)
-        got = cost(traj, refs, road, cfg, obstacle_points=((1.0, 2.0),))
-        assert got == pytest.approx(0.5 * (1.0 / 4.0) ** 2, rel=1e-12)
-
 
 class TestSolveStep:
     def test_straight_far_from_boundaries(self, params):
         cfg = MpcConfig()
         sc = wide_road_scenario()
         path = build_lane_change_path(sc, params)
-        res = solve_step(S(X=10.0), sc, path, params, cfg, zero_sequence(cfg))
+        res = solve_step(S(X=10.0), sc.road, path, params, cfg,
+                         zero_sequence(cfg))
         assert abs(res.u0[0]) < 1e-3
         refs = reference_for_horizon(path, S(X=10.0), cfg.Np, cfg.dt)
         zero_traj = predict(S(X=10.0), zero_sequence(cfg), params, cfg)
@@ -225,15 +223,17 @@ class TestSolveStep:
         path = build_lane_change_path(static_scenario, params)
         state = S(vy=0.1, r=0.05, X=25.0, Y=0.2, psi=0.02)
         warm = ((0.05, 20.0),) * 3
-        a = solve_step(state, static_scenario, path, params, cfg, warm)
-        b = solve_step(state, static_scenario, path, params, cfg, warm)
+        a = solve_step(state, static_scenario.road, path, params, cfg,
+                       warm)
+        b = solve_step(state, static_scenario.road, path, params, cfg,
+                       warm)
         assert a == b
 
     def test_result_always_inside_box(self, params, cfg, static_scenario):
         path = build_lane_change_path(static_scenario, params)
         warm = ((2.0, 500.0),) * 3  # far outside the box on purpose
-        res = solve_step(S(X=30.0, Y=0.5), static_scenario, path, params,
-                         cfg, warm)
+        res = solve_step(S(X=30.0, Y=0.5), static_scenario.road, path,
+                         params, cfg, warm)
         for d, tq in res.sequence:
             assert -cfg.delta_max <= d <= cfg.delta_max
             assert -cfg.Tb_max <= tq <= cfg.Td_max
@@ -242,7 +242,8 @@ class TestSolveStep:
         path = build_lane_change_path(static_scenario, params)
         state = S(X=28.0, Y=0.1, psi=0.05)
         warm = ((0.1, 100.0),) * 3
-        res = solve_step(state, static_scenario, path, params, cfg, warm)
+        res = solve_step(state, static_scenario.road, path, params, cfg,
+                       warm)
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
         warm_traj = predict(state, warm, params, cfg)
         j_warm = cost(warm_traj, refs, static_scenario.road, cfg)
@@ -252,7 +253,7 @@ class TestSolveStep:
         cfg = MpcConfig(Np=1)
         path = build_lane_change_path(static_scenario, params)
         state = S(vy=0.15, r=-0.05, X=31.0, Y=0.4, psi=0.03)
-        res = solve_step(state, static_scenario, path, params, cfg,
+        res = solve_step(state, static_scenario.road, path, params, cfg,
                          zero_sequence(cfg))
         refs = reference_for_horizon(path, state, 1, cfg.dt)
         best = math.inf
@@ -277,8 +278,8 @@ class TestSolveStep:
         mstate = S(vy=-0.1, r=-0.04, X=30.0, Y=-0.3, psi=-0.02)
         warm = ((0.05, 40.0), (0.02, 10.0), (0.0, 0.0))
         mwarm = tuple((-d, tq) for d, tq in warm)
-        a = solve_step(state, sc, pa, params, cfg, warm)
-        b = solve_step(mstate, mirrored, pb, params, cfg, mwarm)
+        a = solve_step(state, sc.road, pa, params, cfg, warm)
+        b = solve_step(mstate, mirrored.road, pb, params, cfg, mwarm)
         assert a.u0[0] == pytest.approx(-b.u0[0], abs=1e-6)
         assert a.u0[1] == pytest.approx(b.u0[1], abs=1e-6)
         assert a.cost == pytest.approx(b.cost, rel=1e-9)
@@ -291,7 +292,7 @@ class TestSolveStep:
         state = VehicleState(vx=0.2, vy=-2.0, r=2.0, X=10.0, Y=0.0, psi=0.0)
         # (the last two pairs reach outside the box)
         warm = ((0.1, -50.0), (1.0, -50.0), (0.1, -400.0))
-        res = solve_step(state, sc, path, params, cfg, warm)
+        res = solve_step(state, sc.road, path, params, cfg, warm)
         assert res.fallback and not res.converged
         assert res.cost == math.inf
         for d, tq in res.sequence:
@@ -311,7 +312,7 @@ class TestSolveStep:
         monkeypatch.setattr(mpc, "minimize_box", recording)
         sc = wide_road_scenario()
         path = build_lane_change_path(sc, params)
-        return solve_step(state, sc, path, params, cfg, warm), starts
+        return solve_step(state, sc.road, path, params, cfg, warm), starts
 
     def test_one_start_from_a_finite_warm_start(self, monkeypatch, params,
                                                 cfg):
@@ -346,7 +347,7 @@ class TestSolveStep:
         monkeypatch.setattr(mpc, "minimize_box", recording)
         sc = wide_road_scenario()
         path = build_lane_change_path(sc, params)
-        return solve_step(state, sc, path, params, cfg, warm,
+        return solve_step(state, sc.road, path, params, cfg, warm,
                           hessian=hessian), seeds
 
     def test_first_step_seeds_from_differences(self, monkeypatch, params,
@@ -358,8 +359,8 @@ class TestSolveStep:
         sc = wide_road_scenario()
         path = build_lane_change_path(sc, params)
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-        fg = horizon_objective(kernels.active().horizon_cost_grad, state, sc,
-                               refs, params, cfg)
+        fg = horizon_objective(kernels.active().horizon_cost_grad, state,
+                               sc.road, refs, params, cfg)
         lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
         upper = [cfg.delta_max, cfg.Td_max] * cfg.Np
         start = [cfg.delta_max, 50.0, 0.01, -cfg.Tb_max, 0.0, 10.0]
@@ -394,10 +395,11 @@ class TestSolveStep:
         path = build_lane_change_path(sc, params)
         state = VehicleState(vx=0.2, vy=-2.0, r=2.0, X=10.0, Y=0.0, psi=0.0)
         given = ((2.0,) * 6,) * 6
-        res = solve_step(state, sc, path, params, cfg, ((0.1, -50.0),) * 3,
-                         hessian=given)
+        res = solve_step(state, sc.road, path, params, cfg,
+                         ((0.1, -50.0),) * 3, hessian=given)
         assert res.fallback and res.hessian is given
-        res = solve_step(state, sc, path, params, cfg, ((0.1, -50.0),) * 3)
+        res = solve_step(state, sc.road, path, params, cfg,
+                         ((0.1, -50.0),) * 3)
         assert res.fallback and res.hessian is None
 
     def test_gradient_consistency_at_random_points(self, params, cfg,
@@ -409,7 +411,7 @@ class TestSolveStep:
         state = S(X=30.0, Y=0.3, psi=0.02)
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
         objective = horizon_objective(kernels.active().horizon_cost, state,
-                                      sc, refs, params, cfg)
+                                      sc.road, refs, params, cfg)
 
         rng = random.Random(9)
         spans = [2 * cfg.delta_max, cfg.Td_max + cfg.Tb_max] * cfg.Np
@@ -453,7 +455,7 @@ class TestDifferenceHessian:
         state = S(X=30.0, Y=0.3, psi=0.02)
         refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
         fg = horizon_objective(kernels.active().horizon_cost_grad, state,
-                               static_scenario, refs, params, cfg)
+                               static_scenario.road, refs, params, cfg)
         steps = [1e-6 * 2 * cfg.delta_max,
                  1e-6 * (cfg.Td_max + cfg.Tb_max)] * cfg.Np
         got = difference_hessian(fg, [0.05, 20.0] * cfg.Np, steps)

@@ -201,6 +201,16 @@ class TestScenarioValidation:
                            match=f"Obstacle.{named} must be finite"):
             Obstacle(**fields)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"length": 0.0}, "obstacle footprint must be positive"),
+        ({"width": -1.0}, "obstacle footprint must be positive"),
+        ({"safety_gap": -0.1}, "safety_gap must be non-negative"),
+        ({"initial_speed": -1.0}, "obstacle speeds must be non-negative"),
+    ])
+    def test_obstacle_out_of_range_value_is_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Obstacle(x0=30.0, y0=0.0, **kwargs)
+
     def test_obstacle_speed_profile_consistency(self):
         with pytest.raises(ValueError):
             Obstacle(x0=0.0, y0=0.0, initial_speed=5.0, target_speed=2.0,
@@ -222,6 +232,14 @@ class TestSchema:
     def test_missing_required_key(self):
         with pytest.raises(ScenarioSchemaError, match="duration"):
             scenario_from_dict({"road": {}, "ego": {}})
+
+    @pytest.mark.parametrize("key", ["x", "y"])
+    def test_obstacle_without_a_position_names_the_key(self, key):
+        ob = {"x": 40.0, "y": 0.0}
+        del ob[key]
+        with pytest.raises(ScenarioSchemaError,
+                           match=rf"missing key '{key}' in obstacles\[0\]"):
+            scenario_from_dict(_doc(obstacles=[ob]))
 
     def test_inconsistent_upper_boundary(self):
         doc = {"road": {"upper_boundary_y": 9.0}, "ego": {}, "duration": 5.0}

@@ -92,10 +92,10 @@ def test_solver_effort_bounds_longer_horizons(params, cfg, name, horizon):
 
 
 def _objective(args, kwargs):
-    state, scenario, path, params, cfg, _ = args
+    state, road, path, params, cfg, _ = args
     refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
-    fg = horizon_objective(kernels.active().horizon_cost_grad, state,
-                           scenario, refs, params, cfg, kwargs["at_time"])
+    fg = horizon_objective(kernels.active().horizon_cost_grad, state, road,
+                           refs, params, cfg)
     return lambda z: fg(list(z))
 
 
