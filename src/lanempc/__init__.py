@@ -10,12 +10,11 @@ from .dynamics import (ControlInput, LowSpeedError, PlantFailureError,
                        VehicleParams, VehicleState, state_derivative, step)
 from .dubins import (PathConstructionError, PathSegment, ReferencePath,
                      build_lane_change_path, min_turn_radius,
-                     nearest_arclength, reference_for_horizon,
-                     sample_reference)
+                     nearest_arclength, sample_reference)
 from .harness import (Metrics, SimulationAborted, SimulationLog,
                       compute_metrics, run)
 from .mpc import (MpcConfig, PredictedTrajectory, SolveResult, cost,
-                  predict, solve_step)
+                  predict, reference_for_horizon, solve_step)
 from .optimize import BoxResult, minimize_box
 from .scenario import (Obstacle, Rect, Road, Scenario,
                        min_obstacle_clearance, obstacle_boundary_at,

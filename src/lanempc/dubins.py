@@ -160,25 +160,6 @@ def nearest_arclength(path, px, py):
     return best_s, math.sqrt(best_d2)
 
 
-def reference_for_horizon(path, ego, n_steps, dt):
-    """Reference points ahead of the ego's path projection.
-
-    For i = 1..n_steps the point at (nearest arclength) + i * dt * v,
-    clamped to the path end, where v is the path's design speed (the
-    timetable pace the geometry was planned at).  Returns a tuple of (x, y)
-    pairs.
-    """
-    s0, _ = nearest_arclength(path, ego.X, ego.Y)
-    out = []
-    for i in range(1, n_steps + 1):
-        s = s0 + i * dt * path.design_speed
-        if s > path.total_length:
-            s = path.total_length
-        x, y, _, _ = sample_reference(path, s)
-        out.append((x, y))
-    return tuple(out)
-
-
 # -- construction -------------------------------------------------------------
 
 def _change_geometry(radius, h, diag):

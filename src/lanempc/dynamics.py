@@ -52,6 +52,7 @@ class VehicleParams:
         for name in ("m", "Iz", "lf", "lr", "Caf", "Car", "Rw", "mu", "g"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0
+                    and not isinstance(value, bool)
                     and math.isfinite(value)):
                 raise ValueError(f"VehicleParams.{name} must be finite and > 0,"
                                  f" got {value!r}")
@@ -77,7 +78,8 @@ class VehicleState:
 
     def __post_init__(self):
         for name in ("vx", "vy", "r", "X", "Y", "psi"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
                 raise ValueError(f"VehicleState.{name} must be finite")
         if self.vx <= 0.0:
             raise ValueError(f"VehicleState.vx must be > 0, got {self.vx!r}")

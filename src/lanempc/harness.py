@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 from . import dynamics, kernels
 from .dubins import (PathConstructionError, build_lane_change_path,
-                     nearest_arclength, reference_for_horizon,
-                     sample_reference)
-from .mpc import (horizon_objective, shift_warm_start, solve_step,
-                  zero_sequence)
+                     nearest_arclength, sample_reference)
+from .mpc import (horizon_objective, reference_for_horizon, shift_warm_start,
+                  solve_step, zero_sequence)
 from .scenario import min_obstacle_clearance
 
 # Consecutive non-finite solves tolerated before a run aborts.
@@ -93,9 +92,11 @@ def run(scenario, params, cfg, controller="integrated", path=None):
     Static-obstacle runs plan the reference once.  Dynamic runs rebuild it
     against predicted obstacle positions at each step where the current plan
     has the ego on its home-lane straight; in a swerve they drive the plan
-    they have.  ``path``, when given, is the initial plan already built
-    (as ``build_lane_change_path(scenario, params)`` returns it), so a
-    caller that has it is spared a rebuild.
+    they have.  Each step locates the ego on the plan once (and again on
+    an accepted rebuild's plan); the controller gets that arclength and
+    the horizon's reference points from it.  ``path``, when given, is the
+    initial plan already built (as ``build_lane_change_path(scenario,
+    params)`` returns it), so a caller that has it is spared a rebuild.
     Raises ValueError for an unknown controller or a run of more than
     100,000 steps (see ``step_count``), and SimulationAborted (with the
     partial log attached) on plant failure or persistent solver failure.
@@ -116,25 +117,28 @@ def run(scenario, params, cfg, controller="integrated", path=None):
     control = _CONTROLLERS[controller](scenario, params, cfg)
     for k in range(n_steps + 1):
         t = k * cfg.dt
-        if dynamic and k > 0 and _on_home_straight(path, state):
+        s, _ = nearest_arclength(path, state.X, state.Y)
+        if dynamic and k > 0 and _on_home_straight(path, s):
             try:
                 # The arc radius stays at the manoeuvre design speed even
                 # as the actual speed drifts (the cost has no speed
                 # setpoint); arrivals are predicted at the ego's speed.
                 path = build_lane_change_path(scenario, params, at_time=t,
                                               ego=state)
+                s, _ = nearest_arclength(path, state.X, state.Y)
             except PathConstructionError:
                 # Boxed in: drive the last feasible plan and let the
                 # clearance metric judge the outcome.
                 pass
+        refs = reference_for_horizon(path, s, cfg.Np, cfg.dt)
         try:
-            u, cost, (ref_x, ref_y), converged = control(state, path, t)
+            u, cost, converged = control(state, path, s, refs, t)
         except _Abort as exc:
             abort(str(exc))
         clearance = min_obstacle_clearance((state.X, state.Y), t, scenario)
         rows.append(LogRow(t=t, state=state, control=u, cost=cost,
-                           ref_x=ref_x, ref_y=ref_y, clearance=clearance,
-                           converged=converged))
+                           ref_x=refs[0][0], ref_y=refs[0][1],
+                           clearance=clearance, converged=converged))
         if k < n_steps:
             try:
                 state = dynamics.step(
@@ -144,9 +148,8 @@ def run(scenario, params, cfg, controller="integrated", path=None):
     return SimulationLog(tuple(rows), cfg.dt, controller)
 
 
-def _on_home_straight(path, state):
-    """Whether the plan point nearest the ego is on the home straight."""
-    s, _ = nearest_arclength(path, state.X, state.Y)
+def _on_home_straight(path, s):
+    """Whether the plan point at arclength s is on the home straight."""
     _, y, _, curvature = sample_reference(path, s)
     return curvature == 0.0 and y == path.waypoints[0][1]
 
@@ -159,9 +162,9 @@ def _integrated(scenario, params, cfg):
     hessian = None
     fallbacks = 0
 
-    def control(state, path, t):
+    def control(state, path, s, refs, t):
         nonlocal warm, hessian, fallbacks
-        res = solve_step(state, scenario.road, path, params, cfg, warm,
+        res = solve_step(state, scenario.road, refs, params, cfg, warm,
                          hessian=hessian)
         fallbacks = fallbacks + 1 if res.fallback else 0
         if fallbacks >= _MAX_FALLBACKS:
@@ -169,7 +172,7 @@ def _integrated(scenario, params, cfg):
                          f"consecutive steps ending t={t:.2f}")
         warm = shift_warm_start(res.sequence)
         hessian = res.hessian
-        return res.u0, res.cost, res.refs[0], res.converged
+        return res.u0, res.cost, res.converged
 
     return control
 
@@ -184,27 +187,27 @@ def _two_level(scenario, params, cfg):
     road = scenario.road
     wheelbase = params.lf + params.lr
 
-    def control(state, path, t):
-        s0, _ = nearest_arclength(path, state.X, state.Y)
+    def control(state, path, s, refs, t):
         tx, ty, _, _ = sample_reference(
-            path, min(s0 + _LOOKAHEAD, path.total_length))
+            path, min(s + _LOOKAHEAD, path.total_length))
         alpha = math.atan2(ty - state.Y, tx - state.X) - state.psi
         alpha = (alpha + math.pi) % (2.0 * math.pi) - math.pi
         delta = math.atan2(2.0 * wheelbase * math.sin(alpha), _LOOKAHEAD)
         delta = min(cfg.delta_max, max(-cfg.delta_max, delta))
         torque = _SPEED_GAIN * (vx_ref - state.vx)
         torque = min(cfg.Td_max, max(-cfg.Tb_max, torque))
-        refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
         horizon_cost = horizon_objective(kernels.active().horizon_cost,
                                          state, road, refs, params, cfg)
         cost = horizon_cost([delta, torque] * cfg.Np)
-        return (delta, torque), cost, refs[0], True
+        return (delta, torque), cost, True
 
     return control
 
 
 # Per-step controllers by name: each is built once per run and returns
-# ``control(state, path, t) -> (u, cost, (ref_x, ref_y), converged)``.
+# ``control(state, path, s, refs, t) -> (u, cost, converged)``, where s is
+# the ego's nearest arclength on the plan and refs the horizon's
+# reference points from it.
 _CONTROLLERS = {"integrated": _integrated, "two_level": _two_level}
 
 

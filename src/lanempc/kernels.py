@@ -1,9 +1,9 @@
 """Kernel backend lookup.
 
 The prediction/cost kernels live in one pure-Python module,
-lanempc._core_py, registered as the "python" backend.  The lookup
-functions stay so callers (the solver, the benchmark) fetch the kernels
-by backend name rather than by module.
+lanempc._core_py, registered as the "python" backend.  The package fetches
+them through ``active()`` at each call; the benchmark looks backends up by
+name (``available()``, ``backend_name()``, ``get()``).
 """
 
 from . import _core_py

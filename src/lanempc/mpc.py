@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .dubins import reference_for_horizon
+from .dubins import sample_reference
 from .dynamics import LowSpeedError
 from .optimize import minimize_box
 
@@ -68,9 +68,9 @@ class MpcConfig:
             raise ValueError("Np must be an int in 1..64")
         for name in ("dt", "a1", "b1", "b2", "b3", "delta_max", "Td_max",
                      "Tb_max", "solver_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
         for name in ("a1", "b1", "b2", "b3", "solver_tol"):
@@ -120,7 +120,6 @@ class SolveResult:
     u0: tuple            # (delta_f, Tr) applied this step
     sequence: tuple      # ((delta_f, Tr), ...) over the horizon
     cost: float
-    refs: tuple          # ((Xd, Yd), ...) reference points used
     converged: bool
     fallback: bool       # solver could not produce a finite cost
     n_eval: int          # value-and-gradient evaluations, every start run
@@ -180,6 +179,19 @@ def horizon_objective(kernel, state, road, refs, params, cfg):
     return lambda z: kernel(*sx, z, *args)
 
 
+def reference_for_horizon(path, s0, n_steps, dt):
+    """The horizon's timetable on the plan: for i = 1..n_steps the point at
+    arclength s0 + i * dt * v, clamped to the path end, where v is the
+    path's design speed (the pace the geometry was planned at) and s0 the
+    ego's nearest arclength.  Returns a tuple of (x, y) pairs."""
+    out = []
+    for i in range(1, n_steps + 1):
+        s = min(s0 + i * dt * path.design_speed, path.total_length)
+        x, y, _, _ = sample_reference(path, s)
+        out.append((x, y))
+    return tuple(out)
+
+
 def shift_warm_start(seq):
     """Receding-horizon warm start: drop the applied step, repeat the last."""
     return tuple(seq[1:]) + (seq[-1],)
@@ -211,8 +223,11 @@ def difference_hessian(fg, x, steps):
                  for a in range(n))
 
 
-def solve_step(state, road, path, params, cfg, warm, hessian=None):
+def solve_step(state, road, refs, params, cfg, warm, hessian=None):
     """One receding-horizon solve; returns the first control plus diagnostics.
+
+    refs holds the horizon's reference points (``reference_for_horizon``),
+    the only view of the plan the solve has.
 
     Minimizes the horizon cost over the steering/torque box from the warm
     start clipped to the box, so the result never scores worse than that
@@ -229,7 +244,6 @@ def solve_step(state, road, path, params, cfg, warm, hessian=None):
     result's hessian is the solver's final estimate, or ``hessian`` itself
     on fallback.
     """
-    refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
     # (J, dJ/dz) of the flat control sequence z
     objective = horizon_objective(kernels.active().horizon_cost_grad, state,
                                   road, refs, params, cfg)
@@ -266,7 +280,7 @@ def solve_step(state, road, path, params, cfg, warm, hessian=None):
     # warm_clipped: minimize_box clips its start the same way and returns it.
     finite = math.isfinite(best.fun)
     seq = tuple((best.x[2 * i], best.x[2 * i + 1]) for i in range(cfg.Np))
-    return SolveResult(u0=seq[0], sequence=seq, cost=best.fun, refs=refs,
+    return SolveResult(u0=seq[0], sequence=seq, cost=best.fun,
                        converged=best.converged, fallback=not finite,
                        n_eval=n_eval,
                        hessian=best.hessian if finite else hessian,

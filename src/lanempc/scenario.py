@@ -15,7 +15,7 @@ from .dynamics import VehicleState
 def _require_finite(obj, names):
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
+        if isinstance(value, bool) or not math.isfinite(value):
             raise ValueError(f"{type(obj).__name__}.{name} must be finite,"
                              f" got {value!r}")
 

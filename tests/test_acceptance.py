@@ -10,11 +10,11 @@ import pytest
 
 from lanempc import cli, kernels
 from lanempc.dubins import (build_lane_change_path, min_turn_radius,
-                            reference_for_horizon, sample_reference)
+                            nearest_arclength, sample_reference)
 from lanempc.dynamics import ControlInput, VehicleParams, VehicleState, step
 from lanempc.harness import compute_metrics, run
 from lanempc.mpc import (MpcConfig, cost, horizon_objective, predict,
-                         solve_step, zero_sequence)
+                         reference_for_horizon, solve_step, zero_sequence)
 from lanempc.scenario import (Obstacle, Road, Scenario, obstacle_boundary_at,
                               rect_signed_distance)
 
@@ -139,9 +139,10 @@ def test_criterion_3_solver_grid_oracle(table_params):
                              X=rng.uniform(5.0, 60.0),
                              Y=rng.uniform(-0.5, 3.0),
                              psi=rng.uniform(-0.15, 0.15))
-        res = solve_step(state, sc.road, path, table_params, cfg,
+        s, _ = nearest_arclength(path, state.X, state.Y)
+        refs = reference_for_horizon(path, s, 1, cfg.dt)
+        res = solve_step(state, sc.road, refs, table_params, cfg,
                          zero_sequence(cfg))
-        refs = reference_for_horizon(path, state, 1, cfg.dt)
         best = math.inf
         for i in range(201):
             d = -cfg.delta_max + i * (2.0 * cfg.delta_max / 200.0)
@@ -206,7 +207,8 @@ def test_criterion_7_numerical_hygiene(table_params, default_cfg):
     sc = load_scenario("static_three_vehicle")
     path = build_lane_change_path(sc, table_params)
     state = VehicleState(vx=10.0, X=30.0, Y=0.3, psi=0.02)
-    refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
+    s, _ = nearest_arclength(path, state.X, state.Y)
+    refs = reference_for_horizon(path, s, cfg.Np, cfg.dt)
     objective = horizon_objective(kernels.active().horizon_cost, state,
                                   sc.road, refs, table_params, cfg)
 

@@ -4,8 +4,9 @@ import pytest
 
 from lanempc.dubins import (PathConstructionError, build_lane_change_path,
                             min_turn_radius, nearest_arclength,
-                            reference_for_horizon, sample_reference)
+                            sample_reference)
 from lanempc.dynamics import VehicleState
+from lanempc.mpc import reference_for_horizon
 from lanempc.scenario import (Obstacle, Road, Scenario, obstacle_boundary_at,
                               rect_signed_distance)
 
@@ -200,15 +201,15 @@ class TestSampling:
 class TestHorizonReferences:
     def test_straight_line_spacing(self, params, empty_scenario):
         path = build_lane_change_path(empty_scenario, params)
-        ego = VehicleState(vx=10.0, X=20.0, Y=0.0)
-        refs = reference_for_horizon(path, ego, 3, 0.1)
+        s0, _ = nearest_arclength(path, 20.0, 0.0)
+        refs = reference_for_horizon(path, s0, 3, 0.1)
         assert refs == ((21.0, 0.0), (22.0, 0.0), (23.0, 0.0))
 
     def test_clamps_at_path_end(self, params, empty_scenario):
         path = build_lane_change_path(empty_scenario, params)
         end = path.waypoints[-1]
-        ego = VehicleState(vx=10.0, X=end[0], Y=end[1])
-        refs = reference_for_horizon(path, ego, 3, 0.1)
+        s0, _ = nearest_arclength(path, *end)
+        refs = reference_for_horizon(path, s0, 3, 0.1)
         for p in refs:
             assert p == pytest.approx(end, abs=1e-9)
 
@@ -243,7 +244,8 @@ class TestHorizonReferences:
             else:
                 lo = m1
         s0 = 0.5 * (lo + hi)
-        refs = reference_for_horizon(path, ego, 3, 0.1)
+        found, _ = nearest_arclength(path, ego.X, ego.Y)
+        refs = reference_for_horizon(path, found, 3, 0.1)
         for i, p in enumerate(refs, start=1):
             s = min(path.total_length, s0 + i * 0.1 * 10.0)
             x, y, _, _ = sample_reference(path, s)

@@ -188,3 +188,8 @@ def test_params_validation():
         VehicleState(vx=0.0)
     with pytest.raises(ValueError):
         VehicleState(vx=float("nan"))
+    # a bool is not a number here, though Python counts True as 1
+    with pytest.raises(ValueError, match="VehicleParams.m "):
+        VehicleParams(m=True)
+    with pytest.raises(ValueError, match="VehicleState.vx "):
+        VehicleState(vx=True)

@@ -5,12 +5,11 @@ import pytest
 
 from lanempc import harness
 from lanempc.dubins import (PathConstructionError, build_lane_change_path,
-                            nearest_arclength, reference_for_horizon,
-                            sample_reference)
+                            nearest_arclength, sample_reference)
 from lanempc.dynamics import VehicleState
 from lanempc.harness import (LogRow, Metrics, SimulationAborted,
                              SimulationLog, compute_metrics, run)
-from lanempc.mpc import MpcConfig, cost, predict
+from lanempc.mpc import MpcConfig, cost, predict, reference_for_horizon
 from lanempc.scenario import Obstacle, Road, Scenario
 
 
@@ -109,10 +108,10 @@ class TestRunContracts:
                                               empty_scenario, monkeypatch):
         real_solve = harness.solve_step
 
-        def broken_solve(state, road, path, p, c, warm, hessian=None):
-            res = real_solve(state, road, path, p, c, warm, hessian=hessian)
+        def broken_solve(state, road, refs, p, c, warm, hessian=None):
+            res = real_solve(state, road, refs, p, c, warm, hessian=hessian)
             return type(res)(u0=res.u0, sequence=res.sequence,
-                             cost=math.inf, refs=res.refs, converged=False,
+                             cost=math.inf, converged=False,
                              fallback=True, n_eval=res.n_eval)
 
         monkeypatch.setattr(harness, "solve_step", broken_solve)
@@ -191,6 +190,37 @@ class TestRunContracts:
             plan = rebuilds.get(k) or plan
         assert 0 < len(rebuilds) < len(log.rows) - 1
 
+    # Path queries in one run of each shipped three-vehicle scenario: the
+    # driver locates the ego on the plan once a step, and once more on the
+    # plan an accepted rebuild returns.
+    PATH_QUERIES = {("static", "integrated"): 141,
+                    ("static", "two_level"): 141,
+                    ("dynamic", "integrated"): 221,
+                    ("dynamic", "two_level"): 216}
+
+    @pytest.mark.parametrize("kind,controller", sorted(PATH_QUERIES))
+    def test_one_path_query_per_step_and_accepted_rebuild(
+            self, params, cfg, request, monkeypatch, kind, controller):
+        queries = []
+        rebuilds = []
+
+        def query(*args):
+            queries.append(args)
+            return nearest_arclength(*args)
+
+        def build(*args, **kwargs):
+            plan = build_lane_change_path(*args, **kwargs)
+            if "at_time" in kwargs:
+                rebuilds.append(kwargs["at_time"])
+            return plan
+
+        monkeypatch.setattr(harness, "nearest_arclength", query)
+        monkeypatch.setattr(harness, "build_lane_change_path", build)
+        log = run(request.getfixturevalue(f"{kind}_scenario"), params, cfg,
+                  controller=controller)
+        assert len(queries) == len(log.rows) + len(rebuilds)
+        assert len(queries) == self.PATH_QUERIES[kind, controller]
+
     @pytest.mark.parametrize("controller", CONTROLLERS)
     def test_reference_moves_laterally_at_most_one_step_of_travel(
             self, params, cfg, dynamic_scenario, controller):
@@ -223,7 +253,8 @@ class TestBaseline:
         path = build_lane_change_path(sc, params)
         for row in log.rows:
             traj = predict(row.state, (row.control,) * cfg.Np, params, cfg)
-            refs = reference_for_horizon(path, row.state, cfg.Np, cfg.dt)
+            s, _ = nearest_arclength(path, row.state.X, row.state.Y)
+            refs = reference_for_horizon(path, s, cfg.Np, cfg.dt)
             want = cost(traj, refs, sc.road, cfg)
             assert row.cost == pytest.approx(want, rel=1e-12, abs=0.0), row.t
 

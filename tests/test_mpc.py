@@ -4,12 +4,12 @@ import random
 import pytest
 
 from lanempc import kernels, mpc
-from lanempc.dubins import build_lane_change_path, reference_for_horizon
+from lanempc.dubins import build_lane_change_path, nearest_arclength
 from lanempc.dynamics import LowSpeedError, VehicleState, state_derivative, ControlInput
 from lanempc.mpc import (MpcConfig, PredictedTrajectory, cost,
                          difference_hessian, flatten_pairs,
-                         horizon_objective, predict, shift_warm_start,
-                         solve_step, zero_sequence)
+                         horizon_objective, predict, reference_for_horizon,
+                         shift_warm_start, solve_step, zero_sequence)
 from lanempc.optimize import minimize_box
 from lanempc.scenario import Obstacle, Road, Scenario
 
@@ -18,6 +18,13 @@ from fd_reference import fd_gradient
 
 def S(vx=10.0, vy=0.0, r=0.0, X=0.0, Y=0.0, psi=0.0):
     return VehicleState(vx=vx, vy=vy, r=r, X=X, Y=Y, psi=psi)
+
+
+def plan_refs(path, state, cfg):
+    """The references the driver hands a solve: cfg's horizon timetable
+    from the ego's nearest arclength on the plan."""
+    s, _ = nearest_arclength(path, state.X, state.Y)
+    return reference_for_horizon(path, s, cfg.Np, cfg.dt)
 
 
 def wide_road_scenario():
@@ -38,7 +45,7 @@ class TestConfig:
         {"solver_tol": -1.0}, {"solver_max_iter": 0},
         {"solver_max_iter": 2.5}, {"solver_max_iter": math.nan},
         {"solver_max_iter": math.inf}, {"solver_max_iter": True},
-        {"Np": True}, {"Np": 3.0},
+        {"Np": True}, {"Np": 3.0}, {"dt": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -210,10 +217,10 @@ class TestSolveStep:
         cfg = MpcConfig()
         sc = wide_road_scenario()
         path = build_lane_change_path(sc, params)
-        res = solve_step(S(X=10.0), sc.road, path, params, cfg,
+        refs = plan_refs(path, S(X=10.0), cfg)
+        res = solve_step(S(X=10.0), sc.road, refs, params, cfg,
                          zero_sequence(cfg))
         assert abs(res.u0[0]) < 1e-3
-        refs = reference_for_horizon(path, S(X=10.0), cfg.Np, cfg.dt)
         zero_traj = predict(S(X=10.0), zero_sequence(cfg), params, cfg)
         j_zero = cost(zero_traj, refs, sc.road, cfg)
         assert res.cost <= j_zero + 1e-12
@@ -223,17 +230,19 @@ class TestSolveStep:
         path = build_lane_change_path(static_scenario, params)
         state = S(vy=0.1, r=0.05, X=25.0, Y=0.2, psi=0.02)
         warm = ((0.05, 20.0),) * 3
-        a = solve_step(state, static_scenario.road, path, params, cfg,
+        refs = plan_refs(path, state, cfg)
+        a = solve_step(state, static_scenario.road, refs, params, cfg,
                        warm)
-        b = solve_step(state, static_scenario.road, path, params, cfg,
+        b = solve_step(state, static_scenario.road, refs, params, cfg,
                        warm)
         assert a == b
 
     def test_result_always_inside_box(self, params, cfg, static_scenario):
         path = build_lane_change_path(static_scenario, params)
         warm = ((2.0, 500.0),) * 3  # far outside the box on purpose
-        res = solve_step(S(X=30.0, Y=0.5), static_scenario.road, path,
-                         params, cfg, warm)
+        state = S(X=30.0, Y=0.5)
+        res = solve_step(state, static_scenario.road,
+                         plan_refs(path, state, cfg), params, cfg, warm)
         for d, tq in res.sequence:
             assert -cfg.delta_max <= d <= cfg.delta_max
             assert -cfg.Tb_max <= tq <= cfg.Td_max
@@ -242,9 +251,9 @@ class TestSolveStep:
         path = build_lane_change_path(static_scenario, params)
         state = S(X=28.0, Y=0.1, psi=0.05)
         warm = ((0.1, 100.0),) * 3
-        res = solve_step(state, static_scenario.road, path, params, cfg,
-                       warm)
-        refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
+        refs = plan_refs(path, state, cfg)
+        res = solve_step(state, static_scenario.road, refs, params, cfg,
+                         warm)
         warm_traj = predict(state, warm, params, cfg)
         j_warm = cost(warm_traj, refs, static_scenario.road, cfg)
         assert res.cost <= j_warm
@@ -253,9 +262,9 @@ class TestSolveStep:
         cfg = MpcConfig(Np=1)
         path = build_lane_change_path(static_scenario, params)
         state = S(vy=0.15, r=-0.05, X=31.0, Y=0.4, psi=0.03)
-        res = solve_step(state, static_scenario.road, path, params, cfg,
+        refs = plan_refs(path, state, cfg)
+        res = solve_step(state, static_scenario.road, refs, params, cfg,
                          zero_sequence(cfg))
-        refs = reference_for_horizon(path, state, 1, cfg.dt)
         best = math.inf
         for i in range(61):
             d = -cfg.delta_max + i * (2 * cfg.delta_max / 60)
@@ -278,8 +287,10 @@ class TestSolveStep:
         mstate = S(vy=-0.1, r=-0.04, X=30.0, Y=-0.3, psi=-0.02)
         warm = ((0.05, 40.0), (0.02, 10.0), (0.0, 0.0))
         mwarm = tuple((-d, tq) for d, tq in warm)
-        a = solve_step(state, sc.road, pa, params, cfg, warm)
-        b = solve_step(mstate, mirrored.road, pb, params, cfg, mwarm)
+        a = solve_step(state, sc.road, plan_refs(pa, state, cfg), params,
+                       cfg, warm)
+        b = solve_step(mstate, mirrored.road, plan_refs(pb, mstate, cfg),
+                       params, cfg, mwarm)
         assert a.u0[0] == pytest.approx(-b.u0[0], abs=1e-6)
         assert a.u0[1] == pytest.approx(b.u0[1], abs=1e-6)
         assert a.cost == pytest.approx(b.cost, rel=1e-9)
@@ -292,7 +303,8 @@ class TestSolveStep:
         state = VehicleState(vx=0.2, vy=-2.0, r=2.0, X=10.0, Y=0.0, psi=0.0)
         # (the last two pairs reach outside the box)
         warm = ((0.1, -50.0), (1.0, -50.0), (0.1, -400.0))
-        res = solve_step(state, sc.road, path, params, cfg, warm)
+        res = solve_step(state, sc.road, plan_refs(path, state, cfg), params,
+                         cfg, warm)
         assert res.fallback and not res.converged
         assert res.cost == math.inf
         for d, tq in res.sequence:
@@ -312,7 +324,8 @@ class TestSolveStep:
         monkeypatch.setattr(mpc, "minimize_box", recording)
         sc = wide_road_scenario()
         path = build_lane_change_path(sc, params)
-        return solve_step(state, sc.road, path, params, cfg, warm), starts
+        return solve_step(state, sc.road, plan_refs(path, state, cfg),
+                          params, cfg, warm), starts
 
     def test_one_start_from_a_finite_warm_start(self, monkeypatch, params,
                                                 cfg):
@@ -347,8 +360,8 @@ class TestSolveStep:
         monkeypatch.setattr(mpc, "minimize_box", recording)
         sc = wide_road_scenario()
         path = build_lane_change_path(sc, params)
-        return solve_step(state, sc.road, path, params, cfg, warm,
-                          hessian=hessian), seeds
+        return solve_step(state, sc.road, plan_refs(path, state, cfg),
+                          params, cfg, warm, hessian=hessian), seeds
 
     def test_first_step_seeds_from_differences(self, monkeypatch, params,
                                                cfg):
@@ -358,7 +371,7 @@ class TestSolveStep:
                                           warm)
         sc = wide_road_scenario()
         path = build_lane_change_path(sc, params)
-        refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
+        refs = plan_refs(path, state, cfg)
         fg = horizon_objective(kernels.active().horizon_cost_grad, state,
                                sc.road, refs, params, cfg)
         lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
@@ -395,10 +408,11 @@ class TestSolveStep:
         path = build_lane_change_path(sc, params)
         state = VehicleState(vx=0.2, vy=-2.0, r=2.0, X=10.0, Y=0.0, psi=0.0)
         given = ((2.0,) * 6,) * 6
-        res = solve_step(state, sc.road, path, params, cfg,
+        refs = plan_refs(path, state, cfg)
+        res = solve_step(state, sc.road, refs, params, cfg,
                          ((0.1, -50.0),) * 3, hessian=given)
         assert res.fallback and res.hessian is given
-        res = solve_step(state, sc.road, path, params, cfg,
+        res = solve_step(state, sc.road, refs, params, cfg,
                          ((0.1, -50.0),) * 3)
         assert res.fallback and res.hessian is None
 
@@ -409,7 +423,7 @@ class TestSolveStep:
         sc = static_scenario
         path = build_lane_change_path(sc, params)
         state = S(X=30.0, Y=0.3, psi=0.02)
-        refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
+        refs = plan_refs(path, state, cfg)
         objective = horizon_objective(kernels.active().horizon_cost, state,
                                       sc.road, refs, params, cfg)
 
@@ -453,7 +467,7 @@ class TestDifferenceHessian:
     def test_exactly_symmetric(self, params, cfg, static_scenario):
         path = build_lane_change_path(static_scenario, params)
         state = S(X=30.0, Y=0.3, psi=0.02)
-        refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
+        refs = plan_refs(path, state, cfg)
         fg = horizon_objective(kernels.active().horizon_cost_grad, state,
                                static_scenario.road, refs, params, cfg)
         steps = [1e-6 * 2 * cfg.delta_max,

@@ -31,6 +31,7 @@ class TestRoad:
         ({"lower_boundary_y": math.inf}, "Road.lower_boundary_y"),
         ({"lower_boundary_y": -math.inf}, "Road.lower_boundary_y"),
         ({"lane_width": 1e308}, "Road.upper_boundary_y"),
+        ({"lane_width": True}, "Road.lane_width"),
     ])
     def test_nonfinite_value_is_refused_by_name(self, kwargs, named):
         with pytest.raises(ValueError, match=f"{named} must be finite"):
@@ -194,6 +195,7 @@ class TestScenarioValidation:
         ({"initial_speed": math.inf}, "initial_speed"),
         ({"target_speed": math.nan}, "target_speed"),
         ({"acceleration": -math.inf}, "acceleration"),
+        ({"x0": True}, "x0"),
     ])
     def test_nonfinite_obstacle_value_is_refused_by_name(self, kwargs, named):
         fields = {"x0": 30.0, "y0": 0.0, **kwargs}

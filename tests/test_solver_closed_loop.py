@@ -8,7 +8,6 @@ import math
 import pytest
 
 from lanempc import harness, kernels
-from lanempc.dubins import reference_for_horizon
 from lanempc.harness import run
 from lanempc.mpc import horizon_objective
 
@@ -92,8 +91,7 @@ def test_solver_effort_bounds_longer_horizons(params, cfg, name, horizon):
 
 
 def _objective(args, kwargs):
-    state, road, path, params, cfg, _ = args
-    refs = reference_for_horizon(path, state, cfg.Np, cfg.dt)
+    state, road, refs, params, cfg, _ = args
     fg = horizon_objective(kernels.active().horizon_cost_grad, state, road,
                            refs, params, cfg)
     return lambda z: fg(list(z))
