@@ -243,7 +243,7 @@ def _run(args, scenario, cfg, params):
             return 3
         write_trajectory_csv(
             os.path.join(args.out, f"trajectory_{name}.csv"), log)
-        metrics = harness.compute_metrics(log, path, cfg)
+        metrics = harness.compute_metrics(log, cfg)
         write_metrics_csv(
             os.path.join(args.out, f"metrics_{name}.csv"), metrics)
         print(_summary_line(name, metrics))

@@ -132,8 +132,8 @@ def _nearest_on_segment(seg, px, py):
         else:
             f = ((px - ax) * vx + (py - ay) * vy) / denom
             f = min(1.0, max(0.0, f))
-        nx, ny = ax + f * vx, ay + f * vy
-        return (px - nx) ** 2 + (py - ny) ** 2, f * seg.length
+        dx, dy = px - (ax + f * vx), py - (ay + f * vy)
+        return dx * dx + dy * dy, f * seg.length
     # Arc: clamp the polar angle of the query point into the swept interval.
     beta = math.atan2(py - seg.centre[1], px - seg.centre[0])
     rel = seg.direction * (beta - seg.start_angle)
@@ -145,7 +145,8 @@ def _nearest_on_segment(seg, px, py):
         # Outside the arc: nearer endpoint (gap midpoint decides).
         local = 0.0 if rel - span > (2.0 * math.pi - rel) else span * seg.radius
     x, y, _, _ = _sample_segment(seg, local)
-    return (px - x) ** 2 + (py - y) ** 2, local
+    dx, dy = px - x, py - y
+    return dx * dx + dy * dy, local
 
 
 def nearest_arclength(path, px, py):
@@ -451,6 +452,9 @@ def build_lane_change_path(scenario, params, at_time=0.0, ego=None):
         waypoints.append(mid)
         waypoints.append(back)
     add_line((x_end, y_home), 0.0)
+    if not segments:
+        raise PathConstructionError(
+            f"the plan from x={x_start!r} has zero length")
     waypoints.append((x_end, y_home))
     waypoints = [p for i, p in enumerate(waypoints)
                  if i == 0 or p != waypoints[i - 1]]

@@ -128,8 +128,8 @@ def step(state, u, params, dt):
     """Advance the plant by dt with one classical 4-stage (RK4) step.
 
     dt == 0 returns the state unchanged.  Raises LowSpeedError if any stage
-    evaluates below the speed floor and PlantFailureError if the result is
-    non-finite or below the floor.
+    evaluates below the speed floor and PlantFailureError if a stage's heading
+    or the result is non-finite, or the result is below the floor.
     """
     if dt < 0.0:
         raise ValueError(f"dt must be >= 0, got {dt!r}")
@@ -138,6 +138,8 @@ def step(state, u, params, dt):
 
     def f(y):
         vx, vy, r, _, _, psi = y
+        if not math.isfinite(psi):  # math.cos would raise ValueError
+            raise PlantFailureError(f"non-finite heading {psi!r} in a stage")
         vxd, vyd, rd, xd, yd, psid = _rates(vx, vy, r, psi, d, tr, p)
         return (vxd, vyd, rd, xd, yd, psid)
 

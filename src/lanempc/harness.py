@@ -51,6 +51,7 @@ class LogRow:
     cost: float
     ref_x: float
     ref_y: float
+    lateral_error: float    # distance to the plan driven at this step
     clearance: float
     converged: bool
 
@@ -94,7 +95,8 @@ def run(scenario, params, cfg, controller="integrated", path=None):
     has the ego on its home-lane straight; in a swerve they drive the plan
     they have.  Each step locates the ego on the plan once (and again on
     an accepted rebuild's plan); the controller gets that arclength and
-    the horizon's reference points from it.  ``path``, when given, is the
+    the horizon's reference points from it, and the log keeps the distance
+    as the step's lateral error.  ``path``, when given, is the
     initial plan already built (as ``build_lane_change_path(scenario,
     params)`` returns it), so a caller that has it is spared a rebuild.
     Raises ValueError for an unknown controller or a run of more than
@@ -117,7 +119,7 @@ def run(scenario, params, cfg, controller="integrated", path=None):
     control = _CONTROLLERS[controller](scenario, params, cfg)
     for k in range(n_steps + 1):
         t = k * cfg.dt
-        s, _ = nearest_arclength(path, state.X, state.Y)
+        s, err = nearest_arclength(path, state.X, state.Y)
         if dynamic and k > 0 and _on_home_straight(path, s):
             try:
                 # The arc radius stays at the manoeuvre design speed even
@@ -125,7 +127,7 @@ def run(scenario, params, cfg, controller="integrated", path=None):
                 # setpoint); arrivals are predicted at the ego's speed.
                 path = build_lane_change_path(scenario, params, at_time=t,
                                               ego=state)
-                s, _ = nearest_arclength(path, state.X, state.Y)
+                s, err = nearest_arclength(path, state.X, state.Y)
             except PathConstructionError:
                 # Boxed in: drive the last feasible plan and let the
                 # clearance metric judge the outcome.
@@ -138,7 +140,8 @@ def run(scenario, params, cfg, controller="integrated", path=None):
         clearance = min_obstacle_clearance((state.X, state.Y), t, scenario)
         rows.append(LogRow(t=t, state=state, control=u, cost=cost,
                            ref_x=refs[0][0], ref_y=refs[0][1],
-                           clearance=clearance, converged=converged))
+                           lateral_error=err, clearance=clearance,
+                           converged=converged))
         if k < n_steps:
             try:
                 state = dynamics.step(
@@ -211,9 +214,9 @@ def _two_level(scenario, params, cfg):
 _CONTROLLERS = {"integrated": _integrated, "two_level": _two_level}
 
 
-def compute_metrics(log, path, cfg):
-    """Metrics over a completed log, lateral error measured to the nearest
-    point on the given reference path."""
+def compute_metrics(log, cfg):
+    """Metrics over a completed log; the lateral error is each row's
+    logged distance to the plan driven at that step."""
     if not log.rows:
         raise ValueError("empty log")
     sq_sum = 0.0
@@ -223,7 +226,7 @@ def compute_metrics(log, path, cfg):
     saturated = 0
     prev_r = None
     for row in log.rows:
-        _, err = nearest_arclength(path, row.state.X, row.state.Y)
+        err = row.lateral_error
         sq_sum += err * err
         if err > max_err:
             max_err = err

@@ -122,11 +122,11 @@ class SolveResult:
     cost: float
     converged: bool
     fallback: bool       # solver could not produce a finite cost
-    n_eval: int          # value-and-gradient evaluations, every start run
+    n_eval: int          # value-and-gradient evaluations, seed included
     hessian: tuple = None  # curvature estimate for the next step's solve
-    iterations: int = 0  # accepted steps of the kept solve
-    stop: str = None     # the kept solve's BoxResult.stop
-    residual: float = None  # the kept solve's BoxResult.residual
+    iterations: int = 0  # accepted steps of the solve
+    stop: str = None     # the solve's BoxResult.stop
+    residual: float = None  # the solve's BoxResult.residual
 
 
 def flatten_pairs(pairs):
@@ -229,12 +229,10 @@ def solve_step(state, road, refs, params, cfg, warm, hessian=None):
     refs holds the horizon's reference points (``reference_for_horizon``),
     the only view of the plan the solve has.
 
-    Minimizes the horizon cost over the steering/torque box from the warm
-    start clipped to the box, so the result never scores worse than that
-    start.  Only when the warm start's cost is not finite is a second solve
-    run from zero controls, and the lower of the two kept.  When neither
-    yields a finite cost the warm start is returned clipped to the box with
-    fallback=True.
+    Minimizes the horizon cost over the steering/torque box with one solve
+    from the warm start clipped to the box, so the result never scores
+    worse than that start.  When the solve yields no finite cost the warm
+    start is returned clipped to the box with fallback=True.
 
     The solver's curvature estimate starts from ``hessian``, normally the
     previous step's ``SolveResult.hessian``: consecutive problems differ
@@ -262,27 +260,18 @@ def solve_step(state, road, refs, params, cfg, warm, hessian=None):
             [1e-6 * (u - lo) for lo, u in zip(lower, upper)])
         n_eval = 2 * len(warm_clipped)
 
-    def solve_from(x0):
-        return minimize_box(objective, lower, upper, x0,
-                            tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
-                            hessian=seed)
+    box = minimize_box(objective, lower, upper, warm_clipped,
+                       tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
+                       hessian=seed)
+    n_eval += box.n_eval
 
-    best = solve_from(warm_clipped)
-    n_eval += best.n_eval
-    zeros = [0.0] * (2 * cfg.Np)
-    if not math.isfinite(best.fun) and zeros != warm_clipped:
-        rescue = solve_from(zeros)
-        n_eval += rescue.n_eval
-        if rescue.fun < best.fun:
-            best = rescue
-
-    # With no finite cost, best is the warm start's solve, and best.x is
-    # warm_clipped: minimize_box clips its start the same way and returns it.
-    finite = math.isfinite(best.fun)
-    seq = tuple((best.x[2 * i], best.x[2 * i + 1]) for i in range(cfg.Np))
-    return SolveResult(u0=seq[0], sequence=seq, cost=best.fun,
-                       converged=best.converged, fallback=not finite,
+    # With no finite cost, box.x is warm_clipped: minimize_box clips its
+    # start the same way and returns it.
+    finite = math.isfinite(box.fun)
+    seq = tuple((box.x[2 * i], box.x[2 * i + 1]) for i in range(cfg.Np))
+    return SolveResult(u0=seq[0], sequence=seq, cost=box.fun,
+                       converged=box.converged, fallback=not finite,
                        n_eval=n_eval,
-                       hessian=best.hessian if finite else hessian,
-                       iterations=best.iterations, stop=best.stop,
-                       residual=best.residual)
+                       hessian=box.hessian if finite else hessian,
+                       iterations=box.iterations, stop=box.stop,
+                       residual=box.residual)

@@ -46,8 +46,7 @@ def static_runs(table_params, default_cfg):
     log = run(sc, table_params, default_cfg)
     elapsed = time.monotonic() - t0
     baseline = run(sc, table_params, default_cfg, controller="two_level")
-    path = build_lane_change_path(sc, table_params)
-    return sc, log, baseline, path, elapsed
+    return sc, log, baseline, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +56,7 @@ def dynamic_runs(table_params, default_cfg):
     log = run(sc, table_params, default_cfg)
     elapsed = time.monotonic() - t0
     baseline = run(sc, table_params, default_cfg, controller="two_level")
-    path = build_lane_change_path(sc, table_params)
-    return sc, log, baseline, path, elapsed
+    return sc, log, baseline, elapsed
 
 
 def _completes_change_and_return(log, target_y=3.5):
@@ -161,7 +159,7 @@ def test_criterion_3_solver_grid_oracle(table_params):
 
 
 def test_criterion_4_static_set(static_runs, default_cfg):
-    sc, log, _, _, elapsed = static_runs
+    sc, log, _, elapsed = static_runs
     ok = _completes_change_and_return(log)
     min_clear = min(r.clearance for r in log.rows)
     ok &= min_clear > 0.0
@@ -174,7 +172,7 @@ def test_criterion_4_static_set(static_runs, default_cfg):
 
 
 def test_criterion_5_dynamic_set(dynamic_runs, default_cfg):
-    sc, log, _, _, elapsed = dynamic_runs
+    sc, log, _, elapsed = dynamic_runs
     ok = _completes_change_and_return(log)
     min_clear = min(r.clearance for r in log.rows)
     ok &= min_clear > 0.0
@@ -190,10 +188,10 @@ def test_criterion_6_smoothness_ordering(static_runs, dynamic_runs,
                                          table_params, default_cfg):
     details = []
     ok = True
-    for label, (_, log, baseline, path, _) in (("static", static_runs),
-                                               ("dynamic", dynamic_runs)):
-        m = compute_metrics(log, path, default_cfg)
-        mb = compute_metrics(baseline, path, default_cfg)
+    for label, (_, log, baseline, _) in (("static", static_runs),
+                                         ("dynamic", dynamic_runs)):
+        m = compute_metrics(log, default_cfg)
+        mb = compute_metrics(baseline, default_cfg)
         ok &= m.yaw_smoothness < mb.yaw_smoothness
         details.append(f"{label}: {m.yaw_smoothness:.1f} < "
                        f"{mb.yaw_smoothness:.1f}")

@@ -357,6 +357,68 @@ def test_unplannable_layout_exit_code(tmp_path, capsys):
     assert "cannot plan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ego_x,options,message", [
+    # The plant reaches |X| ~ 1e160 m; squaring its distance to the plan
+    # overflows to inf instead of raising OverflowError.
+    (0.0, ["--set", "Rw=1e-200", "--controller", "two_level"],
+     "two_level run aborted: plant failure at t=2.70"),
+    # An RK4 stage reaches an infinite heading, whose cosine raises
+    # ValueError inside the plant.
+    (0.0, ["--set", "Iz=1e-300", "--controller", "both"],
+     "plant failure at t=2.50: non-finite heading"),
+    # At x = 1e308 the run's length rounds away, and the planner refuses
+    # a plan of zero length.
+    (1e308, [], "cannot plan a path for this scenario"),
+], ids=["overflowing_distance", "infinite_stage_heading",
+        "zero_length_plan"])
+def test_extreme_input_aborts_without_a_traceback(tmp_path, capsys, ego_x,
+                                                  options, message):
+    # The static three-vehicle scenario, its ego starting at ego_x.
+    with open(os.path.join(SCENARIO_DIR, "static_three_vehicle.json")) as fh:
+        doc = json.load(fh)
+    doc["ego"]["x"] = ego_x
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps(doc))
+    rc = cli.main(["run", "--scenario", str(p),
+                   "--out", str(tmp_path / "out"), *options])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert message in err and "Traceback" not in err
+
+
+# Plan searches in one CLI run of each shipped scenario: one per step and
+# one per accepted rebuild, all made by harness.run; the metrics read the
+# logged distances and search nothing.
+CLI_PATH_QUERIES = {
+    ("static_three_vehicle", "integrated"): 141,
+    ("static_three_vehicle", "two_level"): 141,
+    ("dynamic_three_vehicle", "integrated"): 221,
+    ("dynamic_three_vehicle", "two_level"): 216,
+    ("single_obstacle", "integrated"): 81,
+    ("single_obstacle", "two_level"): 81,
+    ("empty_road", "integrated"): 61,
+    ("empty_road", "two_level"): 61,
+}
+
+
+@pytest.mark.parametrize("name,controller", sorted(CLI_PATH_QUERIES))
+def test_path_queries_per_cli_run(tmp_path, monkeypatch, name, controller):
+    queries = []
+    search = dubins.nearest_arclength
+
+    def counted(*args):
+        queries.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(dubins, "nearest_arclength", counted)
+    monkeypatch.setattr(harness, "nearest_arclength", counted)
+    rc = cli.main(["run", "--scenario",
+                   os.path.join(SCENARIO_DIR, f"{name}.json"),
+                   "--out", str(tmp_path), "--controller", controller])
+    assert rc == 0
+    assert len(queries) == CLI_PATH_QUERIES[name, controller]
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

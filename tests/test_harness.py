@@ -190,6 +190,32 @@ class TestRunContracts:
             plan = rebuilds.get(k) or plan
         assert 0 < len(rebuilds) < len(log.rows) - 1
 
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_logged_error_is_the_distance_to_the_plan_in_force(
+            self, params, cfg, dynamic_scenario, monkeypatch, controller):
+        # Each row's lateral error is the ego's distance to the plan it
+        # drove at that step, a rebuilt plan from the step of its rebuild
+        # on; the t=0 plan would give other distances.
+        rebuilds = {}   # step -> rebuilt plan, or None if refused
+
+        def spy(*args, **kwargs):
+            k = round(kwargs["at_time"] / cfg.dt)
+            rebuilds[k] = None
+            rebuilds[k] = build_lane_change_path(*args, **kwargs)
+            return rebuilds[k]
+
+        first = plan = build_lane_change_path(dynamic_scenario, params)
+        monkeypatch.setattr(harness, "build_lane_change_path", spy)
+        log = run(dynamic_scenario, params, cfg, controller=controller,
+                  path=plan)
+        moved = 0
+        for k, row in enumerate(log.rows):
+            plan = rebuilds.get(k) or plan
+            X, Y = row.state.X, row.state.Y
+            assert row.lateral_error == nearest_arclength(plan, X, Y)[1]
+            moved += row.lateral_error != nearest_arclength(first, X, Y)[1]
+        assert moved > 0
+
     # Path queries in one run of each shipped three-vehicle scenario: the
     # driver locates the ego on the plan once a step, and once more on the
     # plan an accepted rebuild returns.
@@ -259,61 +285,56 @@ class TestBaseline:
             assert row.cost == pytest.approx(want, rel=1e-12, abs=0.0), row.t
 
 
-def _synthetic_log(points, rs=None, clearances=None, dt=0.1):
-    rs = rs or [0.0] * len(points)
-    clearances = clearances or [5.0] * len(points)
+def _synthetic_log(errors, rs=None, clearances=None, dt=0.1):
+    """A log of one row per entry of errors, each logging that lateral
+    error, driving along x at that distance from the line y = 0."""
+    rs = rs or [0.0] * len(errors)
+    clearances = clearances or [5.0] * len(errors)
     rows = []
-    for k, ((x, y), r_val, c) in enumerate(zip(points, rs, clearances)):
-        state = VehicleState(vx=10.0, vy=0.0, r=r_val, X=x, Y=y, psi=0.0)
+    for k, (err, r_val, c) in enumerate(zip(errors, rs, clearances)):
+        state = VehicleState(vx=10.0, vy=0.0, r=r_val, X=float(k), Y=err,
+                             psi=0.0)
         rows.append(LogRow(t=k * dt, state=state, control=(0.0, 0.0),
-                           cost=0.0, ref_x=x, ref_y=0.0, clearance=c,
-                           converged=True))
+                           cost=0.0, ref_x=float(k), ref_y=0.0,
+                           lateral_error=err, clearance=c, converged=True))
     return SimulationLog(tuple(rows), dt, "integrated")
 
 
 class TestMetrics:
-    def test_perfect_tracking_is_zero(self, params, cfg, empty_scenario):
-        path = build_lane_change_path(empty_scenario, params)
-        log = _synthetic_log([(float(i), 0.0) for i in range(20)])
-        m = compute_metrics(log, path, cfg)
+    def test_perfect_tracking_is_zero(self, cfg):
+        log = _synthetic_log([0.0] * 20)
+        m = compute_metrics(log, cfg)
         assert m.rms_lateral_error == pytest.approx(0.0, abs=1e-12)
         assert m.max_lateral_error == pytest.approx(0.0, abs=1e-12)
         assert m.yaw_smoothness == 0.0
         assert m.control_saturation_fraction == 0.0
 
-    def test_constant_yaw_rate_is_smooth(self, params, cfg, empty_scenario):
-        path = build_lane_change_path(empty_scenario, params)
-        log = _synthetic_log([(float(i), 0.0) for i in range(20)],
-                             rs=[0.4] * 20)
-        m = compute_metrics(log, path, cfg)
+    def test_constant_yaw_rate_is_smooth(self, cfg):
+        log = _synthetic_log([0.0] * 20, rs=[0.4] * 20)
+        m = compute_metrics(log, cfg)
         assert m.yaw_smoothness == 0.0
 
-    def test_single_offset_sample_rms(self, params, cfg, empty_scenario):
-        path = build_lane_change_path(empty_scenario, params)
+    def test_single_offset_sample_rms(self, cfg):
         n = 16
-        pts = [(float(i), 0.0) for i in range(n)]
-        pts[7] = (7.0, 0.5)
-        log = _synthetic_log(pts)
-        m = compute_metrics(log, path, cfg)
+        errors = [0.0] * n
+        errors[7] = 0.5
+        log = _synthetic_log(errors)
+        m = compute_metrics(log, cfg)
         assert m.rms_lateral_error == pytest.approx(0.5 / math.sqrt(n),
                                                     rel=1e-12)
         assert m.max_lateral_error == pytest.approx(0.5, rel=1e-12)
 
-    def test_min_clearance_and_saturation(self, params, cfg, empty_scenario):
-        path = build_lane_change_path(empty_scenario, params)
-        log = _synthetic_log([(float(i), 0.0) for i in range(10)],
-                             clearances=[3.0] * 9 + [0.25])
-        m = compute_metrics(log, path, cfg)
+    def test_min_clearance_and_saturation(self, cfg):
+        log = _synthetic_log([0.0] * 10, clearances=[3.0] * 9 + [0.25])
+        m = compute_metrics(log, cfg)
         assert m.min_clearance == 0.25
         # a saturated control counts toward the fraction
-        import dataclasses
         rows = list(log.rows)
         rows[3] = dataclasses.replace(rows[3], control=(cfg.delta_max, 0.0))
         log2 = SimulationLog(tuple(rows), log.dt, log.controller)
-        m2 = compute_metrics(log2, path, cfg)
+        m2 = compute_metrics(log2, cfg)
         assert m2.control_saturation_fraction == pytest.approx(0.1)
 
-    def test_empty_log_rejected(self, params, cfg, empty_scenario):
-        path = build_lane_change_path(empty_scenario, params)
+    def test_empty_log_rejected(self, cfg):
         with pytest.raises(ValueError):
-            compute_metrics(SimulationLog((), 0.1, "integrated"), path, cfg)
+            compute_metrics(SimulationLog((), 0.1, "integrated"), cfg)

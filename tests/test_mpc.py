@@ -336,16 +336,20 @@ class TestSolveStep:
                            0.0, 10.0]]
         assert res.converged and not res.fallback
 
-    def test_zero_start_rescues_a_non_finite_warm_start(self, monkeypatch,
-                                                        params, cfg):
+    def test_one_start_from_a_non_finite_warm_start(self, monkeypatch,
+                                                    params, cfg):
         # Full braking from a crawl takes the predicted speed below the
-        # floor (+inf); coasting from zero controls keeps it finite.
+        # floor (+inf).  Coasting from zero controls would keep it finite,
+        # but the solve starts once, from the warm start clipped to the
+        # box, and falls back to that start.
         state = S(vx=0.25)
-        warm = ((0.0, -cfg.Tb_max),) * cfg.Np
+        warm = ((0.0, -2.0 * cfg.Tb_max),) * cfg.Np
+        clipped = ((0.0, -cfg.Tb_max),) * cfg.Np
         res, starts = self._recorded_starts(monkeypatch, params, cfg, state,
                                             warm)
-        assert starts == [flatten_pairs(warm), [0.0] * (2 * cfg.Np)]
-        assert not res.fallback and math.isfinite(res.cost)
+        assert starts == [flatten_pairs(clipped)]
+        assert res.fallback and res.cost == math.inf
+        assert res.sequence == clipped
 
     def _recorded_seeds(self, monkeypatch, params, cfg, state, warm,
                         hessian=None):
@@ -393,15 +397,6 @@ class TestSolveStep:
                                           zero_sequence(cfg), given)
         assert len(seeds) == 1 and seeds[0] is given
         assert res.converged and res.hessian is not given
-
-    def test_rescue_start_uses_the_same_estimate(self, monkeypatch, params,
-                                                 cfg):
-        state = S(vx=0.25)
-        warm = ((0.0, -cfg.Tb_max),) * cfg.Np
-        res, seeds = self._recorded_seeds(monkeypatch, params, cfg, state,
-                                          warm)
-        assert len(seeds) == 2 and seeds[0] is seeds[1]
-        assert not res.fallback
 
     def test_fallback_passes_the_estimate_through(self, params, cfg):
         sc = wide_road_scenario()
