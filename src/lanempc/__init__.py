@@ -13,8 +13,7 @@ from .dubins import (PathConstructionError, PathSegment, ReferencePath,
                      nearest_arclength, sample_reference)
 from .harness import (Metrics, SimulationAborted, SimulationLog,
                       compute_metrics, run)
-from .mpc import (MpcConfig, PredictedTrajectory, SolveResult, cost,
-                  predict, reference_for_horizon, solve_step)
+from .mpc import MpcConfig, SolveResult, reference_for_horizon, solve_step
 from .optimize import BoxResult, minimize_box
 from .scenario import (Obstacle, Rect, Road, Scenario,
                        min_obstacle_clearance, obstacle_boundary_at,
@@ -25,12 +24,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxResult", "ControlInput", "LowSpeedError", "Metrics", "MpcConfig",
     "Obstacle", "PathConstructionError", "PathSegment", "PlantFailureError",
-    "PredictedTrajectory", "Rect", "ReferencePath", "Road", "Scenario",
-    "SimulationAborted", "SimulationLog", "SolveResult", "VehicleParams",
-    "VehicleState", "build_lane_change_path", "compute_metrics", "cost",
-    "min_obstacle_clearance", "min_turn_radius",
-    "minimize_box", "nearest_arclength", "obstacle_boundary_at",
-    "obstacle_pose_at", "predict", "reference_for_horizon", "run",
-    "sample_reference", "scenario_from_dict", "solve_step",
+    "Rect", "ReferencePath", "Road", "Scenario", "SimulationAborted",
+    "SimulationLog", "SolveResult", "VehicleParams", "VehicleState",
+    "build_lane_change_path", "compute_metrics", "min_obstacle_clearance",
+    "min_turn_radius", "minimize_box", "nearest_arclength",
+    "obstacle_boundary_at", "obstacle_pose_at", "reference_for_horizon",
+    "run", "sample_reference", "scenario_from_dict", "solve_step",
     "state_derivative", "step",
 ]

@@ -3,9 +3,9 @@
 The solver's hot path: the chained Euler prediction, the potential-field
 cost, and the fused cost with its exact gradient (adjoint sweep).  The
 Euler step exists once, in ``_chain``, and the cost sum once, in
-``_cost_partials``; every kernel composes the two, so they all return the
-same cost bit for bit.  lanempc.kernels hands this module out as the
-"python" backend.
+``_cost_partials``; both kernels, ``horizon_cost`` and
+``horizon_cost_grad``, compose the two, so they return the same cost bit
+for bit.  lanempc.kernels hands this module out as the "python" backend.
 """
 
 import math
@@ -17,15 +17,20 @@ INF = math.inf
 
 def _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car, rw,
            dt, yaw_div_m):
-    """The chained one-step-Euler prediction (see ``predict_steps``).
+    """Chained one-step-Euler prediction over ``len(controls) // 2`` steps
+    (``controls`` flat ``[delta_0, torque_0, delta_1, torque_1, ...]``).
+    Per step: lateral tire forces from the previous state, Euler update of
+    the body velocities, yaw rate and heading, rotation of the new body
+    velocities into the global frame, Euler update of the global position
+    with them.  ``yaw_div_m`` divides the yaw-rate update by the mass, not
+    the inertia (a documented quirk).
 
     Returns ``(xa, ya, rs, tape)``: lists of the predicted global x, global
     y and yaw rate, and per step the record ``(vx, vy, r, sd, cd, fcf, cp,
-    sp, vxg, vyg, vx_n, vy_n, psi_n, fcr)``.  The first ten are what the
-    adjoint sweep needs: the state the step starts from, the steering's
-    sine and cosine, the front force, the new heading's cosine and sine and
-    the new global velocity.  The last four complete ``predict_steps``'
-    columns.  Raises ValueError as ``predict_steps`` does.
+    sp, vxg, vyg)`` the adjoint sweep reads: the state the step starts
+    from, the steering's sine and cosine, the front force, the new
+    heading's cosine and sine and the new global velocity.  Raises
+    ValueError if a longitudinal speed in the chain drops below VX_FLOOR.
     """
     n = len(controls) // 2
     if vx < VX_FLOOR:
@@ -57,8 +62,7 @@ def _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car, rw,
         vyg = vx_n * sp + vy_n * cp
         gx = gx + vxg * dt
         gy = gy + vyg * dt
-        tape.append((vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg,
-                     vx_n, vy_n, psi_n, fcr))
+        tape.append((vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg))
         xa.append(gx)
         ya.append(gy)
         rs.append(r_n)
@@ -66,70 +70,30 @@ def _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car, rw,
     return xa, ya, rs, tape
 
 
-def predict_steps(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car,
-                  rw, dt, yaw_div_m):
-    """Chained one-step-Euler prediction over ``len(controls) // 2`` steps.
-
-    Per step, in order: lateral tire forces from the previous step's state,
-    Euler update of the body velocities / yaw rate / heading, rotation of the
-    new body velocities into the global frame, Euler update of the global
-    position using those new global velocities.
-
-    ``controls`` is flat ``[delta_0, torque_0, delta_1, torque_1, ...]``.
-    ``yaw_div_m`` selects the yaw-rate divisor: inertia (False, default) or
-    mass (True, a documented quirk kept reproducible).
-
-    Returns ten equal-length tuples: global x, global y, body vx, body vy,
-    yaw rate, heading, front force, rear force, global vx, global vy.
-    Raises ValueError if any longitudinal speed in the chain drops below
-    VX_FLOOR.
-    """
-    xa, ya, rs, tape = _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf,
-                              lr, caf, car, rw, dt, yaw_div_m)
-    (_, _, _, _, _, fcfs, _, _, vxgs, vygs, vxs, vys, psis,
-     fcrs) = tuple(zip(*tape)) or ((),) * 14
-    return (tuple(xa), tuple(ya), vxs, vys, tuple(rs), psis, fcfs, fcrs,
-            vxgs, vygs)
-
-
-def trajectory_cost(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
-                    a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
-    """Potential-field cost of a predicted trajectory.
-
-    Sums, over the horizon: an attractive quadratic pull toward the reference
-    points, reciprocal-quartic repulsion from the road's upper and lower
-    boundary lines ``y = y_upper`` and ``y = y_lower`` (a function of the
-    lateral gap alone), optional reciprocal-quartic repulsion from obstacle
-    centre points, and a squared yaw-acceleration smoothness term.
-
-    ``refs`` and ``obs_pts`` are flat [x0, y0, x1, y1, ...]; ``r0`` is the
-    measured yaw rate the prediction started from; ``diff_mode`` selects the
-    yaw-rate difference (0 backward, 1 forward, 2 centered; the last step
-    always falls back to backward).  A predicted point on or beyond a
-    boundary line (off the road), or exactly on an obstacle centre, yields
-    +inf (sentinel, not an exception) whenever the corresponding weight is
-    nonzero: the road barrier is one-sided.
-    """
-    parts = _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
-                           a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
-    return INF if parts is None else parts[0]
-
-
 def horizon_cost(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car,
                  rw, dt, yaw_div_m, refs, y_upper, y_lower,
                  a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
-    """Fused predict + cost for a flat control sequence (the solver hot path).
-
-    Returns +inf instead of raising when the predicted speed chain falls
-    below VX_FLOOR.
+    """Potential-field cost of ``_chain``'s prediction from the state
+    ``vx .. psi`` under ``controls``: a quadratic pull toward the reference
+    points, reciprocal-quartic repulsion from the road's boundary lines
+    ``y = y_upper`` and ``y = y_lower`` (a function of the lateral gap
+    alone) and from obstacle centre points, and a squared yaw-acceleration
+    smoothness term from the measured rate ``r``.  ``refs`` and ``obs_pts``
+    are flat [x0, y0, x1, y1, ...]; ``diff_mode`` selects the yaw-rate
+    difference (0 backward, 1 forward, 2 centered; the last step always
+    falls back to backward).  +inf (a sentinel, not an exception) for a
+    predicted speed below VX_FLOOR, or, where the term's weight is nonzero,
+    for a predicted point on or beyond a boundary line (the barrier is
+    one-sided) or exactly on an obstacle centre.
     """
     try:
         xa, ya, rs, _ = _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf,
                                lr, caf, car, rw, dt, yaw_div_m)
     except ValueError:
         return INF
-    return trajectory_cost(xa, ya, rs, r, dt, refs, y_upper, y_lower,
+    parts = _cost_partials(xa, ya, rs, r, dt, refs, y_upper, y_lower,
                            a1, b1, b2, b3, diff_mode, obs_pts, obs_weight)
+    return INF if parts is None else parts[0]
 
 
 def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
@@ -162,7 +126,7 @@ def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
     grad = [0.0] * (2 * n)
     lvx = lvy = lr_ = lpsi = lgx = lgy = 0.0
     for i in range(n - 1, -1, -1):
-        vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg, _, _, _, _ = tape[i]
+        vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg = tape[i]
         lgx += jx[i]
         lgy += jy[i]
         lr_ += jr[i]
@@ -191,8 +155,8 @@ def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,
 
 def _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
                    a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
-    """``trajectory_cost`` with its partials in each predicted x, y and yaw
-    rate: ``(cost, jx, jy, jr)``, or None where the cost is +inf.  The
+    """``horizon_cost``'s sum with its partials in each predicted x, y and
+    yaw rate: ``(cost, jx, jy, jr)``, or None where the cost is +inf.  The
     boundary terms depend on y alone, so they have no x-partials.
     """
     n = len(xa)

@@ -155,8 +155,11 @@ def _left_road_note(rows, road):
     if lo < y < hi:
         return ""
     name, line = ("lower", lo) if y - lo <= hi - y else ("upper", hi)
-    return (f"; road boundary reached before the abort: Y={y:.4f} m at "
-            f"t={worst.t:.2f} against the {name} line at y={line:.4f} m")
+    # Exponent form from 1e6 m on keeps a runaway coordinate short.
+    y_text, line_text = (f"{v:.4f}" if abs(v) < 1e6 else f"{v:.4e}"
+                         for v in (y, line))
+    return (f"; road boundary reached before the abort: Y={y_text} m at "
+            f"t={worst.t:.2f} against the {name} line at y={line_text} m")
 
 
 def main(argv=None):

@@ -21,8 +21,7 @@ def backend_name():
 
 
 def active():
-    """The active backend module (exposes predict_steps / trajectory_cost /
-    horizon_cost / horizon_cost_grad)."""
+    """The active backend module (horizon_cost, horizon_cost_grad)."""
     return _core_py
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from . import kernels
 from .dubins import sample_reference
-from .dynamics import LowSpeedError
 from .optimize import minimize_box
 
 _DIFF_CODES = {"backward": 0, "forward": 1, "centered": 2}
@@ -98,24 +97,6 @@ class MpcConfig:
 
 
 @dataclass(frozen=True)
-class PredictedTrajectory:
-    """Per-step predictions (tuples of length Np) plus the measured yaw rate
-    the chain started from."""
-
-    xa: tuple
-    ya: tuple
-    vx: tuple
-    vy: tuple
-    r: tuple
-    psi: tuple
-    fcf: tuple
-    fcr: tuple
-    vxg: tuple
-    vyg: tuple
-    r0: float
-
-
-@dataclass(frozen=True)
 class SolveResult:
     u0: tuple            # (delta_f, Tr) applied this step
     sequence: tuple      # ((delta_f, Tr), ...) over the horizon
@@ -139,37 +120,11 @@ def flatten_pairs(pairs):
     return flat
 
 
-def predict(state, seq, params, cfg):
-    """Chained Euler prediction of the state under a control sequence."""
-    controls = flatten_pairs(seq)
-    try:
-        arrays = kernels.active().predict_steps(
-            state.vx, state.vy, state.r, state.X, state.Y, state.psi,
-            controls, params.m, params.Iz, params.lf, params.lr,
-            params.Caf, params.Car, params.Rw, cfg.dt, cfg.yaw_div_m)
-    except ValueError as exc:
-        raise LowSpeedError(str(exc)) from None
-    return PredictedTrajectory(*arrays, r0=state.r)
-
-
-def cost(traj, refs, road, cfg):
-    """Potential-field cost of a predicted trajectory on ``road``.
-
-    refs is a sequence of (Xd, Yd) pairs, one per horizon step.  A predicted
-    point on or beyond one of the road's boundary lines gives +inf
-    (sentinel, not an exception).
-    """
-    return kernels.active().trajectory_cost(
-        traj.xa, traj.ya, traj.r, traj.r0, cfg.dt, flatten_pairs(refs),
-        road.upper_boundary_y, road.lower_boundary_y,
-        cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code, (), 0.0)
-
-
 def horizon_objective(kernel, state, road, refs, params, cfg):
-    """``kernel`` (``horizon_cost`` or a derivative variant) bound to one
-    step's problem: the state, refs, road boundaries and cfg's weights.
-    Obstacles reach it only through refs, the plan's points.  Returns a
-    function of the flat control sequence."""
+    """``kernel`` (``horizon_cost``, or ``horizon_cost_grad`` for the
+    gradient too) bound to one step's problem: the state, refs, road
+    boundaries and cfg's weights; obstacles reach it only through refs, the
+    plan's points.  Returns the cost as a function of the flat controls."""
     sx = (state.vx, state.vy, state.r, state.X, state.Y, state.psi)
     args = (params.m, params.Iz, params.lf, params.lr, params.Caf,
             params.Car, params.Rw, cfg.dt, cfg.yaw_div_m,

@@ -143,6 +143,22 @@ def listing(seeds=None):
         yield digest_fuzz(*seeds)
 
 
+def differences(expected, actual):
+    """Each line where two listings differ, named by the case (the last
+    unindented line) it falls under; missing lines read "<missing>"."""
+    out = []
+    case = None
+    for i in range(max(len(expected), len(actual))):
+        want = expected[i] if i < len(expected) else "<missing>"
+        got = actual[i] if i < len(actual) else "<missing>"
+        if not got.startswith(" "):
+            case = got
+        if want != got:
+            out.append(f"{case}: committed {want.strip()!r}, "
+                       f"now {got.strip()!r}")
+    return out
+
+
 def main(argv):
     print(platform_header())
     seeds = (int(argv[0]), int(argv[1])) if len(argv) > 1 else None

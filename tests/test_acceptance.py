@@ -8,13 +8,13 @@ import time
 
 import pytest
 
-from lanempc import cli, kernels
+from lanempc import _core_py, cli, kernels
 from lanempc.dubins import (build_lane_change_path, min_turn_radius,
                             nearest_arclength, sample_reference)
 from lanempc.dynamics import ControlInput, VehicleParams, VehicleState, step
 from lanempc.harness import compute_metrics, run
-from lanempc.mpc import (MpcConfig, cost, horizon_objective, predict,
-                         reference_for_horizon, solve_step, zero_sequence)
+from lanempc.mpc import (MpcConfig, horizon_objective, reference_for_horizon,
+                         solve_step, zero_sequence)
 from lanempc.scenario import (Obstacle, Road, Scenario, obstacle_boundary_at,
                               rect_signed_distance)
 
@@ -71,8 +71,11 @@ def _completes_change_and_return(log, target_y=3.5):
 def test_criterion_1_predictor_equation_fidelity(table_params):
     t0 = time.monotonic()
     cfg = MpcConfig(Np=1)
-    state = VehicleState(vx=10.0)
-    traj = predict(state, ((0.05, 0.0),), table_params, cfg)
+    p = table_params
+    xa, ya, rs, tape = _core_py._chain(
+        10.0, 0.0, 0.0, 0.0, 0.0, 0.0, [0.05, 0.0], p.m, p.Iz, p.lf, p.lr,
+        p.Caf, p.Car, p.Rw, cfg.dt, cfg.yaw_div_m)
+    _, _, _, _, _, fcf_got, cp, sp, vxg, vyg = tape[0]
     # hand evaluation of the discrete chain with the table values
     fcf = -12000.0 * ((0.0 + 1.2 * 0.0) / 10.0 - 0.05)
     fcr = -12000.0 * ((0.0 - 1.05 * 0.0) / 10.0)
@@ -84,9 +87,12 @@ def test_criterion_1_predictor_equation_fidelity(table_params):
     psi1 = 0.0
     vxg1 = vx1 * math.cos(psi1) - vy1 * math.sin(psi1)
     vyg1 = vx1 * math.sin(psi1) + vy1 * math.cos(psi1)
-    pairs = [(traj.fcf[0], fcf), (traj.fcr[0], fcr), (traj.vx[0], vx1),
-             (traj.vy[0], vy1), (traj.r[0], r1), (traj.psi[0], psi1),
-             (traj.xa[0], vxg1 * 0.1), (traj.ya[0], vyg1 * 0.1)]
+    # The step's record holds the new heading's cosine and sine and the
+    # new global velocity, which at psi1 = 0 is (vx1, vy1) exactly; fcr
+    # reaches the result through vy1 and r1.
+    pairs = [(fcf_got, fcf), (vxg, vx1), (vyg, vy1), (rs[0], r1),
+             (cp, math.cos(psi1)), (sp, math.sin(psi1)),
+             (xa[0], vxg1 * 0.1), (ya[0], vyg1 * 0.1)]
     worst = max(abs(g - w) / max(abs(w), 1e-30) if w != 0 else abs(g)
                 for g, w in pairs)
     elapsed = time.monotonic() - t0
@@ -141,13 +147,14 @@ def test_criterion_3_solver_grid_oracle(table_params):
         refs = reference_for_horizon(path, s, 1, cfg.dt)
         res = solve_step(state, sc.road, refs, table_params, cfg,
                          zero_sequence(cfg))
+        objective = horizon_objective(kernels.active().horizon_cost, state,
+                                      sc.road, refs, table_params, cfg)
         best = math.inf
         for i in range(201):
             d = -cfg.delta_max + i * (2.0 * cfg.delta_max / 200.0)
             for j in range(201):
                 tq = -cfg.Tb_max + j * ((cfg.Td_max + cfg.Tb_max) / 200.0)
-                traj = predict(state, ((d, tq),), table_params, cfg)
-                val = cost(traj, refs, sc.road, cfg)
+                val = objective([d, tq])
                 if val < best:
                     best = val
         rel = (res.cost - best) / max(abs(best), 1e-30)

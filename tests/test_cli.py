@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -357,22 +358,23 @@ def test_unplannable_layout_exit_code(tmp_path, capsys):
     assert "cannot plan" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ego_x,options,message", [
+@pytest.mark.parametrize("ego_x,options,message,runaway_y", [
     # The plant reaches |X| ~ 1e160 m; squaring its distance to the plan
     # overflows to inf instead of raising OverflowError.
     (0.0, ["--set", "Rw=1e-200", "--controller", "two_level"],
-     "two_level run aborted: plant failure at t=2.70"),
+     "two_level run aborted: plant failure at t=2.70", True),
     # An RK4 stage reaches an infinite heading, whose cosine raises
     # ValueError inside the plant.
     (0.0, ["--set", "Iz=1e-300", "--controller", "both"],
-     "plant failure at t=2.50: non-finite heading"),
+     "plant failure at t=2.50: non-finite heading", False),
     # At x = 1e308 the run's length rounds away, and the planner refuses
     # a plan of zero length.
-    (1e308, [], "cannot plan a path for this scenario"),
+    (1e308, [], "cannot plan a path for this scenario", False),
 ], ids=["overflowing_distance", "infinite_stage_heading",
         "zero_length_plan"])
 def test_extreme_input_aborts_without_a_traceback(tmp_path, capsys, ego_x,
-                                                  options, message):
+                                                  options, message,
+                                                  runaway_y):
     # The static three-vehicle scenario, its ego starting at ego_x.
     with open(os.path.join(SCENARIO_DIR, "static_three_vehicle.json")) as fh:
         doc = json.load(fh)
@@ -384,6 +386,11 @@ def test_extreme_input_aborts_without_a_traceback(tmp_path, capsys, ego_x,
     err = capsys.readouterr().err
     assert rc == 3
     assert message in err and "Traceback" not in err
+    # A runaway Y in the road-boundary note is printed in exponent form,
+    # not as hundreds of digits.
+    ys = re.findall(r"road boundary reached before the abort: Y=(\S+) m", err)
+    assert [abs(float(y)) > 1e100 for y in ys] == [True] * runaway_y
+    assert all(len(y) <= 12 for y in ys), ys
 
 
 # Plan searches in one CLI run of each shipped scenario: one per step and

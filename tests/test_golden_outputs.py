@@ -8,7 +8,7 @@ each changed line with its reason; any other mismatch is a regression.
 
 import os
 
-from output_digest import listing, platform_header
+from output_digest import differences, listing, platform_header
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_digests.txt")
@@ -17,17 +17,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 def test_outputs_match_golden_digests():
     with open(GOLDEN) as fh:
         header, *expected = fh.read().splitlines()
-    actual = list(listing((1, 40)))
-    mismatches = []
-    case = None
-    for i in range(max(len(expected), len(actual))):
-        want = expected[i] if i < len(expected) else "<missing>"
-        got = actual[i] if i < len(actual) else "<missing>"
-        if not got.startswith(" "):
-            case = got
-        if want != got:
-            mismatches.append(f"{case}: golden {want.strip()!r}, "
-                              f"now {got.strip()!r}")
+    mismatches = differences(expected, list(listing((1, 40))))
     note = ""
     if header != platform_header():
         note = (f"\nThe digests were made on {header[2:]!r} and this is "

@@ -3,13 +3,14 @@ import math
 
 import pytest
 
-from lanempc import harness
+from lanempc import harness, kernels
 from lanempc.dubins import (PathConstructionError, build_lane_change_path,
                             nearest_arclength, sample_reference)
 from lanempc.dynamics import VehicleState
 from lanempc.harness import (LogRow, Metrics, SimulationAborted,
                              SimulationLog, compute_metrics, run)
-from lanempc.mpc import MpcConfig, cost, predict, reference_for_horizon
+from lanempc.mpc import (MpcConfig, flatten_pairs, horizon_objective,
+                         reference_for_horizon)
 from lanempc.scenario import Obstacle, Road, Scenario
 
 
@@ -273,15 +274,17 @@ class TestBaseline:
     def test_logged_cost_is_the_integrated_cost(self, params, cfg,
                                                 small_scenario):
         # Each logged J is what the integrated cost scores for the applied
-        # control held over the horizon.
+        # control held over the horizon, computed here by the solver's own
+        # kernel, the one with the gradient.
         sc = small_scenario
         log = run(sc, params, cfg, controller="two_level")
         path = build_lane_change_path(sc, params)
         for row in log.rows:
-            traj = predict(row.state, (row.control,) * cfg.Np, params, cfg)
             s, _ = nearest_arclength(path, row.state.X, row.state.Y)
             refs = reference_for_horizon(path, s, cfg.Np, cfg.dt)
-            want = cost(traj, refs, sc.road, cfg)
+            want, _ = horizon_objective(
+                kernels.active().horizon_cost_grad, row.state, sc.road, refs,
+                params, cfg)(flatten_pairs((row.control,) * cfg.Np))
             assert row.cost == pytest.approx(want, rel=1e-12, abs=0.0), row.t
 
 

@@ -3,21 +3,12 @@ import random
 
 import pytest
 
-from lanempc import kernels
+from lanempc import _core_py, kernels
 
 from fd_reference import fd_gradient
 
 TABLE = dict(m=2000.0, iz=1300.0, lf=1.2, lr=1.05, caf=12000.0, car=12000.0,
              rw=0.3)
-
-def _random_case(rng, n):
-    state = (rng.uniform(5, 15), rng.uniform(-1.5, 1.5),
-             rng.uniform(-0.8, 0.8), rng.uniform(-10, 120),
-             rng.uniform(-1.5, 5.0), rng.uniform(-0.4, 0.4))
-    controls = [rng.uniform(-0.785, 0.785) if i % 2 == 0
-                else rng.uniform(-160, 200) for i in range(2 * n)]
-    refs = tuple(rng.uniform(-10, 130) for _ in range(2 * n))
-    return state, controls, refs
 
 
 def _cost_args(state, controls, refs, diff_mode=1, obs=(), ow=0.0,
@@ -32,7 +23,6 @@ def _variant_cases(rng, count):
     """Random cost arguments over every diff mode, both yaw divisors and
     obstacle repulsion on and off; references and obstacles sit near the
     predicted path, where the cost and its slopes are of moderate size."""
-    mod = kernels.get("python")
     for trial in range(count):
         n = rng.choice([1, 2, 3, 5])
         state = (rng.uniform(8, 12), rng.uniform(-0.5, 0.5),
@@ -42,7 +32,7 @@ def _variant_cases(rng, count):
                     else rng.uniform(-100, 150) for i in range(2 * n)]
         yaw_div_m = trial % 2 == 1
         diff = trial % 3
-        xa, ya = mod.predict_steps(
+        xa, ya = _core_py._chain(
             *state, controls, TABLE["m"], TABLE["iz"], TABLE["lf"],
             TABLE["lr"], TABLE["caf"], TABLE["car"], TABLE["rw"], 0.1,
             yaw_div_m)[:2]
@@ -66,33 +56,12 @@ class TestBackendSelection:
 
     def test_active_is_module_with_kernels(self):
         mod = kernels.active()
-        assert callable(mod.predict_steps)
         assert callable(mod.horizon_cost)
         assert callable(mod.horizon_cost_grad)
-        assert callable(mod.trajectory_cost)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):
             kernels.get("fortran")
-
-
-class TestFusedMatchesComposition:
-    @pytest.mark.parametrize("backend", ["python"])
-    def test_horizon_cost_equals_predict_plus_cost(self, backend):
-        mod = kernels.get(backend)
-        rng = random.Random(5)
-        for _ in range(100):
-            n = rng.choice([1, 3])
-            state, controls, refs = _random_case(rng, n)
-            fused = mod.horizon_cost(*_cost_args(state, controls, refs))
-            xa, ya, _, _, rs, _, _, _, _, _ = mod.predict_steps(
-                *state, controls, TABLE["m"], TABLE["iz"], TABLE["lf"],
-                TABLE["lr"], TABLE["caf"], TABLE["car"], TABLE["rw"],
-                0.1, False)
-            composed = mod.trajectory_cost(
-                xa, ya, rs, state[2], 0.1, refs, 5.25, -1.75,
-                1.0, 0.001, 0.001, 0.01, 1, (), 0.0)
-            assert fused == composed
 
 
 class TestCostGradient:
@@ -146,12 +115,11 @@ class TestCostGradient:
 
 class TestKernelContracts:
     def test_speed_floor_raises(self):
-        mod = kernels.active()
         with pytest.raises(ValueError):
-            mod.predict_steps(0.05, 0.0, 0.0, 0.0, 0.0, 0.0, [0.0, 0.0],
-                              TABLE["m"], TABLE["iz"], TABLE["lf"],
-                              TABLE["lr"], TABLE["caf"], TABLE["car"],
-                              TABLE["rw"], 0.1, False)
+            _core_py._chain(0.05, 0.0, 0.0, 0.0, 0.0, 0.0, [0.0, 0.0],
+                            TABLE["m"], TABLE["iz"], TABLE["lf"],
+                            TABLE["lr"], TABLE["caf"], TABLE["car"],
+                            TABLE["rw"], 0.1, False)
 
     def test_fused_returns_inf_on_floor(self):
         mod = kernels.active()
@@ -174,26 +142,26 @@ class TestKernelContracts:
             args = _cost_args(state, controls, refs, y_upper=y_upper)
             assert mod.horizon_cost(*args) == math.inf
             assert mod.horizon_cost_grad(*args) == (math.inf, None)
+            # and in the cost sum itself, where None stands for +inf
             ys = (y, y, y)
-            assert mod.trajectory_cost(
+            assert _core_py._cost_partials(
                 (1.0, 2.0, 3.0), ys, (0.0,) * 3, 0.0, 0.1, refs, y_upper,
-                -1.75, 1.0, 0.001, 0.001, 0.01, 1, (), 0.0) == math.inf
+                -1.75, 1.0, 0.001, 0.001, 0.01, 1, (), 0.0) is None
             # a zero weight turns its line's barrier off
-            assert mod.trajectory_cost(
+            assert _core_py._cost_partials(
                 (1.0, 2.0, 3.0), ys, (0.0,) * 3, 0.0, 0.1, refs, y_upper,
-                -1.75, 1.0, 0.0, 0.0, 0.01, 1, (), 0.0) == 0.0
+                -1.75, 1.0, 0.0, 0.0, 0.01, 1, (), 0.0)[0] == 0.0
 
     def test_diff_mode_variants(self):
-        mod = kernels.active()
         rs = (0.1, 0.3, 0.2)
         xa = (1.0, 2.0, 3.0)
         ya = (0.0, 0.0, 0.0)
         refs = (1.0, 0.0, 2.0, 0.0, 3.0, 0.0)
 
         def yaw_cost(diff_mode):
-            return mod.trajectory_cost(xa, ya, rs, 0.0, 0.1, refs,
-                                       99.0, -99.0,
-                                       0.0, 0.0, 0.0, 1.0, diff_mode, (), 0.0)
+            return _core_py._cost_partials(xa, ya, rs, 0.0, 0.1, refs,
+                                           99.0, -99.0, 0.0, 0.0, 0.0, 1.0,
+                                           diff_mode, (), 0.0)[0]
 
         backward = ((0.1 / 0.1) ** 2 + (0.2 / 0.1) ** 2 + (-0.1 / 0.1) ** 2)
         forward = ((0.2 / 0.1) ** 2 + (-0.1 / 0.1) ** 2 + (-0.1 / 0.1) ** 2)
@@ -205,8 +173,8 @@ class TestKernelContracts:
     def test_obstacle_repulsion(self):
         # One point at (1, 0), on its reference, 2 m from an obstacle centre
         # at (1, 2): only the repulsion term scores, weight * (1 / d^2)^2.
-        mod = kernels.active()
-        got = mod.trajectory_cost((1.0,), (0.0,), (0.0,), 0.0, 0.1,
-                                  (1.0, 0.0), 99.0, -99.0,
-                                  0.0, 0.0, 0.0, 0.0, 1, (1.0, 2.0), 0.5)
+        got = _core_py._cost_partials((1.0,), (0.0,), (0.0,), 0.0, 0.1,
+                                      (1.0, 0.0), 99.0, -99.0,
+                                      0.0, 0.0, 0.0, 0.0, 1, (1.0, 2.0),
+                                      0.5)[0]
         assert got == pytest.approx(0.5 * (1.0 / 4.0) ** 2, rel=1e-12)

@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from lanempc import kernels, mpc
+from lanempc import _core_py, kernels, mpc
 from lanempc.dubins import build_lane_change_path, nearest_arclength
-from lanempc.dynamics import LowSpeedError, VehicleState, state_derivative, ControlInput
-from lanempc.mpc import (MpcConfig, PredictedTrajectory, cost,
-                         difference_hessian, flatten_pairs,
-                         horizon_objective, predict, reference_for_horizon,
+from lanempc.dynamics import VehicleState, state_derivative, ControlInput
+from lanempc.mpc import (MpcConfig, difference_hessian, flatten_pairs,
+                         horizon_objective, reference_for_horizon,
                          shift_warm_start, solve_step, zero_sequence)
 from lanempc.optimize import minimize_box
 from lanempc.scenario import Obstacle, Road, Scenario
@@ -18,6 +17,22 @@ from fd_reference import fd_gradient
 
 def S(vx=10.0, vy=0.0, r=0.0, X=0.0, Y=0.0, psi=0.0):
     return VehicleState(vx=vx, vy=vy, r=r, X=X, Y=Y, psi=psi)
+
+
+def chain(state, seq, params, cfg):
+    """The Euler chain's ``(xa, ya, rs, tape)`` for state under the
+    control pairs seq (``_core_py._chain``)."""
+    return _core_py._chain(
+        state.vx, state.vy, state.r, state.X, state.Y, state.psi,
+        flatten_pairs(seq), params.m, params.Iz, params.lf, params.lr,
+        params.Caf, params.Car, params.Rw, cfg.dt, cfg.yaw_div_m)
+
+
+def seq_cost(state, seq, road, refs, params, cfg):
+    """The horizon cost of the control pairs seq, by the kernel the
+    solver runs."""
+    return horizon_objective(kernels.active().horizon_cost, state, road,
+                             refs, params, cfg)(flatten_pairs(seq))
 
 
 def plan_refs(path, state, cfg):
@@ -75,9 +90,9 @@ class TestPredict:
         # The 1..64 limit on Np is MpcConfig's alone: the predictor and the
         # kernels take a horizon of any length.
         seq = ((0.002, 10.0),) * 65
-        traj = predict(S(), seq, params, cfg)
-        assert len(traj.xa) == 65
-        refs = tuple(zip(traj.xa, traj.ya))
+        xa, ya, _, _ = chain(S(), seq, params, cfg)
+        assert len(xa) == 65
+        refs = tuple(zip(xa, ya))
         sc = wide_road_scenario()
         z = flatten_pairs(seq)
         j = horizon_objective(kernels.active().horizon_cost, S(), sc.road,
@@ -88,16 +103,15 @@ class TestPredict:
         assert fg[0] == j and len(fg[1]) == 130
 
     def test_straight_line_euler(self, params, cfg):
-        traj = predict(S(X=5.0), zero_sequence(cfg), params, cfg)
-        assert traj.xa == (6.0, 7.0, 8.0)
-        assert traj.ya == (0.0, 0.0, 0.0)
-        assert traj.r == (0.0, 0.0, 0.0)
-        assert traj.r0 == 0.0
+        xa, ya, rs, _ = chain(S(X=5.0), zero_sequence(cfg), params, cfg)
+        assert xa == [6.0, 7.0, 8.0]
+        assert ya == [0.0, 0.0, 0.0]
+        assert rs == [0.0, 0.0, 0.0]
 
     def test_one_step_chain_matches_formulas(self, params):
         cfg = MpcConfig(Np=1)
         d = 0.05
-        traj = predict(S(), ((d, 0.0),), params, cfg)
+        xa, ya, rs, tape = chain(S(), ((d, 0.0),), params, cfg)
         fcf = -params.Caf * (0.0 / 10.0 - d)
         fcr = -params.Car * (0.0 / 10.0)
         vx1 = 10.0 + (0.0 - (2.0 / params.m)
@@ -106,34 +120,37 @@ class TestPredict:
                      * (fcf * math.cos(d) + fcr)) * 0.1
         r1 = 0.0 + ((2.0 / params.Iz) * (params.lf * fcf
                                          - params.lr * fcr)) * 0.1
-        assert traj.fcf[0] == fcf and traj.fcr[0] == fcr
-        assert traj.vx[0] == vx1 and traj.vy[0] == vy1 and traj.r[0] == r1
-        assert traj.psi[0] == 0.0
-        assert traj.xa[0] == vx1 * math.cos(0.0) * 0.1 - vy1 * math.sin(0.0) * 0.1
-        assert traj.ya[0] == (vx1 * math.sin(0.0) + vy1 * math.cos(0.0)) * 0.1
+        _, _, _, _, _, fcf_got, cp, sp, vxg, vyg = tape[0]
+        # At the new heading 0 the global velocity is (vx1, vy1) exactly;
+        # fcr reaches the result through vy1 and r1.
+        assert fcf_got == fcf
+        assert vxg == vx1 and vyg == vy1 and rs[0] == r1
+        assert (cp, sp) == (math.cos(0.0), math.sin(0.0))
+        assert xa[0] == vx1 * math.cos(0.0) * 0.1 - vy1 * math.sin(0.0) * 0.1
+        assert ya[0] == (vx1 * math.sin(0.0) + vy1 * math.cos(0.0)) * 0.1
 
     def test_deterministic(self, params, cfg):
         seq = ((0.03, 50.0), (-0.02, -30.0), (0.01, 10.0))
-        a = predict(S(vy=0.2, r=0.05), seq, params, cfg)
-        b = predict(S(vy=0.2, r=0.05), seq, params, cfg)
+        a = chain(S(vy=0.2, r=0.05), seq, params, cfg)
+        b = chain(S(vy=0.2, r=0.05), seq, params, cfg)
         assert a == b
 
     def test_speed_floor_raises(self, params, cfg):
-        with pytest.raises(LowSpeedError):
-            predict(S(vx=0.05), zero_sequence(cfg), params, cfg)
+        with pytest.raises(ValueError, match="below floor"):
+            chain(S(vx=0.05), zero_sequence(cfg), params, cfg)
 
     def test_mid_horizon_floor_raises(self, params, cfg):
         # heavy braking from just above the floor crosses it inside the chain
-        with pytest.raises(LowSpeedError):
-            predict(S(vx=0.12), ((0.0, -160.0),) * 3, params, cfg)
+        with pytest.raises(ValueError, match="predicted .* below floor"):
+            chain(S(vx=0.12), ((0.0, -160.0),) * 3, params, cfg)
 
     def test_yaw_divisor_variant(self, params):
         base = MpcConfig(Np=1)
         quirk = MpcConfig(Np=1, predictor_yaw_divisor="m")
         d = 0.05
-        a = predict(S(), ((d, 0.0),), params, base)
-        b = predict(S(), ((d, 0.0),), params, quirk)
-        assert a.r[0] == pytest.approx(b.r[0] * params.m / params.Iz, rel=1e-12)
+        a = chain(S(), ((d, 0.0),), params, base)[2]
+        b = chain(S(), ((d, 0.0),), params, quirk)[2]
+        assert a[0] == pytest.approx(b[0] * params.m / params.Iz, rel=1e-12)
 
     def test_consistency_with_continuous_dynamics(self, params):
         # One-step predicted rates approach the continuous derivative as
@@ -143,14 +160,18 @@ class TestPredict:
         d = state_derivative(state, ControlInput(*u), params)
 
         def rate_error(dt):
-            cfg = MpcConfig(Np=1, dt=dt)
-            traj = predict(state, (u,), params, cfg)
-            rates = ((traj.vx[0] - state.vx) / dt,
-                     (traj.vy[0] - state.vy) / dt,
-                     (traj.r[0] - state.r) / dt,
-                     (traj.xa[0] - state.X) / dt,
-                     (traj.ya[0] - state.Y) / dt,
-                     (traj.psi[0] - state.psi) / dt)
+            # Two steps, so that the second step's record starts from the
+            # first step's body velocities and yaw rate.
+            cfg = MpcConfig(Np=2, dt=dt)
+            xa, ya, _, tape = chain(state, (u, u), params, cfg)
+            vx1, vy1, r1 = tape[1][:3]
+            psi1 = math.atan2(tape[0][7], tape[0][6])
+            rates = ((vx1 - state.vx) / dt,
+                     (vy1 - state.vy) / dt,
+                     (r1 - state.r) / dt,
+                     (xa[0] - state.X) / dt,
+                     (ya[0] - state.Y) / dt,
+                     (psi1 - state.psi) / dt)
             return max(abs(a - b) for a, b in zip(rates, d))
 
         e1, e2, e3 = rate_error(0.1), rate_error(0.01), rate_error(0.001)
@@ -158,14 +179,23 @@ class TestPredict:
         assert e3 < 0.05 * e1
 
 
-def _flat_traj(ys, rs=None, r0=0.0, xs=None):
+def _flat_points(ys, rs=None, r0=0.0):
+    """Hand-made predicted points: x = 1, 2, ..., the given ys, and yaw
+    rates rs (all r0 when omitted)."""
     n = len(ys)
-    xs = tuple(xs or tuple(float(i + 1) for i in range(n)))
-    rs = tuple(rs or (r0,) * n)
-    return PredictedTrajectory(xa=xs, ya=tuple(ys), vx=(10.0,) * n,
-                               vy=(0.0,) * n, r=rs, psi=(0.0,) * n,
-                               fcf=(0.0,) * n, fcr=(0.0,) * n,
-                               vxg=(10.0,) * n, vyg=(0.0,) * n, r0=r0)
+    return (tuple(float(i + 1) for i in range(n)), tuple(ys),
+            tuple(rs or (r0,) * n))
+
+
+def point_cost(points, refs, road, cfg, r0=0.0):
+    """The cost sum (``_core_py._cost_partials``) of hand-made points, the
+    chain having started from yaw rate r0; None stands for +inf."""
+    xa, ya, rs = points
+    parts = _core_py._cost_partials(
+        xa, ya, rs, r0, cfg.dt, flatten_pairs(refs), road.upper_boundary_y,
+        road.lower_boundary_y, cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,
+        (), 0.0)
+    return None if parts is None else parts[0]
 
 
 class TestCost:
@@ -173,43 +203,45 @@ class TestCost:
         # On-reference trajectory equidistant (1.75 m) from both boundaries:
         # only the boundary terms remain.
         cfg = MpcConfig(a1=1.0, b1=0.4, b2=0.7, b3=1.0)
-        traj = _flat_traj([1.75, 1.75, 1.75])
-        refs = tuple(zip(traj.xa, traj.ya))
+        pts = _flat_points([1.75, 1.75, 1.75])
+        refs = tuple(zip(pts[0], pts[1]))
         road = Road(lane_width=1.75, lower_boundary_y=0.0)
         want = 3 * (cfg.b1 + cfg.b2) * (1.0 / 1.75 ** 2) ** 2
-        assert cost(traj, refs, road, cfg) == pytest.approx(want, rel=1e-12)
+        assert point_cost(pts, refs, road, cfg) == pytest.approx(want,
+                                                                 rel=1e-12)
 
     def test_zero_weights_zero_cost(self):
         cfg = MpcConfig(a1=0.0, b1=0.0, b2=0.0, b3=0.0)
-        traj = _flat_traj([3.5, 0.0, 1.2], rs=(0.5, -0.5, 0.2))
+        pts = _flat_points([3.5, 0.0, 1.2], rs=(0.5, -0.5, 0.2))
         refs = ((0.0, 9.0), (1.0, -9.0), (2.0, 4.0))
         road = Road(lane_width=1.75, lower_boundary_y=0.0)
-        assert cost(traj, refs, road, cfg) == 0.0
+        assert point_cost(pts, refs, road, cfg) == 0.0
 
     def test_attractive_term_scales_exactly(self):
         base = MpcConfig(a1=1.0, b1=0.0, b2=0.0, b3=0.0)
         double = MpcConfig(a1=2.0, b1=0.0, b2=0.0, b3=0.0)
-        traj = _flat_traj([0.4, 0.9, 1.3])
+        pts = _flat_points([0.4, 0.9, 1.3])
         refs = ((1.0, 0.0), (2.0, 0.2), (3.0, 0.6))
         road = Road(lane_width=1.75, lower_boundary_y=0.0)
-        assert cost(traj, refs, road, double) == 2.0 * cost(
-            traj, refs, road, base)
+        assert point_cost(pts, refs, road, double) == 2.0 * point_cost(
+            pts, refs, road, base)
 
     def test_on_boundary_is_infinite_sentinel(self):
         cfg = MpcConfig(b1=0.001, b2=0.001)
-        traj = _flat_traj([3.5, 1.0, 1.0])
-        refs = tuple(zip(traj.xa, traj.ya))
+        pts = _flat_points([3.5, 1.0, 1.0])
+        refs = tuple(zip(pts[0], pts[1]))
         road = Road(lane_width=1.75, lower_boundary_y=0.0)
-        assert cost(traj, refs, road, cfg) == math.inf
+        assert point_cost(pts, refs, road, cfg) is None
 
     def test_yaw_term_backward_difference(self):
         cfg = MpcConfig(a1=0.0, b1=0.0, b2=0.0, b3=2.0,
                         yaw_accel_diff="backward")
-        traj = _flat_traj([0.0, 0.0, 0.0], rs=(0.2, 0.1, 0.1), r0=0.0)
-        refs = tuple(zip(traj.xa, traj.ya))
+        pts = _flat_points([0.0, 0.0, 0.0], rs=(0.2, 0.1, 0.1))
+        refs = tuple(zip(pts[0], pts[1]))
         want = 2.0 * ((0.2 / 0.1) ** 2 + (-0.1 / 0.1) ** 2 + 0.0)
         road = Road(lane_width=99.0, lower_boundary_y=-99.0)
-        assert cost(traj, refs, road, cfg) == pytest.approx(want, rel=1e-12)
+        assert point_cost(pts, refs, road, cfg, r0=0.0) == pytest.approx(
+            want, rel=1e-12)
 
 
 class TestSolveStep:
@@ -221,8 +253,8 @@ class TestSolveStep:
         res = solve_step(S(X=10.0), sc.road, refs, params, cfg,
                          zero_sequence(cfg))
         assert abs(res.u0[0]) < 1e-3
-        zero_traj = predict(S(X=10.0), zero_sequence(cfg), params, cfg)
-        j_zero = cost(zero_traj, refs, sc.road, cfg)
+        j_zero = seq_cost(S(X=10.0), zero_sequence(cfg), sc.road, refs,
+                          params, cfg)
         assert res.cost <= j_zero + 1e-12
         assert j_zero - res.cost < 1e-6
 
@@ -254,8 +286,8 @@ class TestSolveStep:
         refs = plan_refs(path, state, cfg)
         res = solve_step(state, static_scenario.road, refs, params, cfg,
                          warm)
-        warm_traj = predict(state, warm, params, cfg)
-        j_warm = cost(warm_traj, refs, static_scenario.road, cfg)
+        j_warm = seq_cost(state, warm, static_scenario.road, refs, params,
+                          cfg)
         assert res.cost <= j_warm
 
     def test_grid_oracle_single_step(self, params, static_scenario):
@@ -270,8 +302,8 @@ class TestSolveStep:
             d = -cfg.delta_max + i * (2 * cfg.delta_max / 60)
             for j in range(61):
                 tq = -cfg.Tb_max + j * ((cfg.Td_max + cfg.Tb_max) / 60)
-                traj = predict(state, ((d, tq),), params, cfg)
-                val = cost(traj, refs, static_scenario.road, cfg)
+                val = seq_cost(state, ((d, tq),), static_scenario.road, refs,
+                               params, cfg)
                 best = min(best, val)
         assert res.cost <= best * (1.0 + 1e-3)
 
