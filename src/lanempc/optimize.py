@@ -11,6 +11,8 @@ so the returned point never scores worse than the start.
 import math
 from dataclasses import dataclass
 
+from ._codegen import compile_function
+
 # Sufficient-decrease constant of the Armijo test and the backtracking
 # budget of one line search (step halvings).
 _ARMIJO = 1e-4
@@ -36,7 +38,8 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     fg takes a list of floats and returns ``(value, gradient)``; a value of
     +inf (gradient ignored) rejects the point.  The iteration keeps a dense
     Hessian estimate B in span-normalised coordinates, exactly symmetric
-    and updated in place, frees the coordinates whose gradient points into
+    (each BFGS update is generated straight-line code for n coordinates,
+    ``_bfgs_source``), frees the coordinates whose gradient points into
     the box, takes the direction from a Cholesky solve with B's free block
     and steps along the projection arc with Armijo backtracking.  When that
     block is not positive definite, the direction does not descend, or the
@@ -47,7 +50,8 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     hessian, when given, is an initial estimate of the Hessian in x's own
     units (a list of rows), for instance the ``hessian`` of an earlier
     result on a nearby problem; B starts from its symmetric part
-    ``(h + h') / 2`` instead of the identity.
+    ``(h + h') / 2`` instead of the identity.  It must be ``len(x0)`` rows
+    of ``len(x0)`` entries (else ``ValueError``).
 
     Returns a BoxResult whose x lies exactly inside the box (clipping, not
     tolerance) and whose fun never exceeds the value at the clipped start.
@@ -64,6 +68,9 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     n = len(x0)
     if len(lower) != n or len(upper) != n:
         raise ValueError("lower/upper/x0 lengths differ")
+    if hessian is not None and (len(hessian) != n
+                                or any(len(row) != n for row in hessian)):
+        raise ValueError(f"hessian must be {n} rows of {n} entries")
     for j in range(n):
         if not lower[j] < upper[j]:
             raise ValueError(f"lower[{j}] must be < upper[{j}]")
@@ -76,10 +83,12 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     if not math.isfinite(fx):
         return BoxResult(tuple(x), fx, False, 0, evals, hessian,
                          "nonfinite_start", math.inf)
+    # B is replaced, never changed in place, so it may be eye itself.
     eye = [[float(a == b) for b in rng] for a in rng]
-    b_mat = [row[:] for row in eye] if hessian is None \
+    b_mat = eye if hessian is None \
         else [[0.5 * (u + w) * (sa * sb) for u, w, sb in zip(row, col, span)]
               for row, col, sa in zip(hessian, zip(*hessian), span)]
+    update = _bfgs_update(n)
     g = [gx[j] * span[j] for j in rng]
 
     iterations = 0
@@ -124,7 +133,7 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
             if b_mat == eye:
                 stop = "line_search"
                 break
-            b_mat = [row[:] for row in eye]
+            b_mat = eye
             continue
         x_new, f_new, g_new = step
         iterations += 1
@@ -142,27 +151,56 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
         x, fx, g = x_new, f_new, g_new
         if sy <= 1e-12 * yy:
             continue
-        bs = [0.0] * n
-        sbs = 0.0
-        for a in rng:
-            row = b_mat[a]
-            t = 0.0
-            for b in rng:
-                t += row[b] * s[b]
-            bs[a] = t
-            sbs += s[a] * t
-        if not sbs > 0.0:
-            continue
-        # Upper triangle, mirrored: exact while B is symmetric.
-        for a in rng:
-            row, ba, ya = b_mat[a], bs[a], y[a]
-            for b in range(a, n):
-                v = row[b] - ba * bs[b] / sbs + ya * y[b] / sy
-                row[b] = b_mat[b][a] = v
+        b_mat = update(b_mat, s, y, sy)
     b_end = tuple([tuple([v / (sa * sb) for v, sb in zip(row, span)])
                    for row, sa in zip(b_mat, span)])
     return BoxResult(tuple(x), fx, stop == "tolerance", iterations, evals,
                      b_end, stop, pg)
+
+
+# Generated BFGS updates by size; an entry is written once and never
+# replaced, so concurrent solves may share the dict.
+_BFGS_UPDATES = {}
+
+
+def _bfgs_update(n):
+    """The BFGS update for n coordinates, generated from ``_bfgs_source``
+    the first time n occurs in the process, and cached."""
+    try:
+        return _BFGS_UPDATES[n]
+    except KeyError:
+        return _BFGS_UPDATES.setdefault(n, compile_function(
+            _bfgs_source(n), "bfgs_update", n, {"__name__": __name__}))
+
+
+def _bfgs_source(n):
+    """Source of ``bfgs_update(b_mat, s, y, sy)`` for n coordinates: B
+    after the BFGS update with the scaled step s and gradient change y
+    (sy = s'y), as a new list of rows, or b_mat itself when s'Bs is not
+    positive (the update is skipped).  Straight-line code, every entry a
+    local: B s and s'B s summed left to right from 0.0, then the
+    n(n + 1) / 2 upper entries, mirrored, which is exact while B is
+    symmetric.  tests/test_optimize.py holds it equal, bit for bit, to the
+    loops in tests/loop_reference.py.  b_mat must be n rows of n.
+    """
+    rng = range(n)
+    rows = ", ".join("[" + ", ".join(f"b{a}_{b}" for b in rng) + "]"
+                     for a in rng)
+    out = ["def bfgs_update(b_mat, s, y, sy):",
+           f"    [{rows}] = b_mat",
+           f"    [{', '.join(f's{a}' for a in rng)}] = s",
+           f"    [{', '.join(f'y{a}' for a in rng)}] = y"]
+    out += [f"    bs{a} = 0.0" + "".join(f" + b{a}_{b} * s{b}" for b in rng)
+            for a in rng]
+    out += ["    sbs = 0.0" + "".join(f" + s{a} * bs{a}" for a in rng),
+            "    if not sbs > 0.0:",
+            "        return b_mat"]
+    out += [f"    v{a}_{b} = b{a}_{b} - bs{a} * bs{b} / sbs + y{a} * y{b} / sy"
+            for a in rng for b in range(a, n)]
+    rows = ", ".join("[" + ", ".join(f"v{min(a, b)}_{max(a, b)}" for b in rng)
+                     + "]" for a in rng)
+    out.append(f"    return [{rows}]")
+    return "\n".join(out) + "\n"
 
 
 def _cholesky_solve(b_mat, free, g):

@@ -6,16 +6,17 @@ import pytest
 from lanempc import _core_py, kernels
 
 from fd_reference import fd_gradient
+from loop_reference import horizon_cost_grad as loop_cost_grad
 
 TABLE = dict(m=2000.0, iz=1300.0, lf=1.2, lr=1.05, caf=12000.0, car=12000.0,
              rw=0.3)
 
 
 def _cost_args(state, controls, refs, diff_mode=1, obs=(), ow=0.0,
-               yaw_div_m=False, y_upper=5.25):
+               yaw_div_m=False, y_upper=5.25, b1=0.001, b3=0.01):
     return (*state, controls, TABLE["m"], TABLE["iz"], TABLE["lf"],
             TABLE["lr"], TABLE["caf"], TABLE["car"], TABLE["rw"], 0.1,
-            yaw_div_m, refs, y_upper, -1.75, 1.0, 0.001, 0.001, 0.01,
+            yaw_div_m, refs, y_upper, -1.75, 1.0, b1, 0.001, b3,
             diff_mode, obs, ow)
 
 
@@ -46,6 +47,55 @@ def _variant_cases(rng, count):
         yield controls, _cost_args(state, controls, refs, diff, obs, ow,
                                    yaw_div_m)
 
+
+def _generated_cases(rng):
+    """Random cost arguments at horizons 1 to 64, over each difference
+    rule, both yaw divisors, b1 and b3 both zero and both nonzero, and
+    obstacle repulsion on and off.  The upper boundary sometimes passes
+    through a predicted point, so some cases score +inf."""
+    for n in (1, 2, 3, 8, 12, 64):
+        for variant in range(24):
+            diff = variant % 3
+            yaw_div_m = variant // 3 % 2 == 1
+            b1, b3 = (0.001, 0.01) if variant // 6 % 2 else (0.0, 0.0)
+            obstacles = variant // 12 == 1
+            for _ in range(8 if n < 64 else 2):
+                state = (rng.uniform(8, 12), rng.uniform(-0.5, 0.5),
+                         rng.uniform(-0.2, 0.2), rng.uniform(0, 100),
+                         rng.uniform(-1, 1), rng.uniform(-0.1, 0.1))
+                controls = [rng.uniform(-0.3, 0.3) if i % 2 == 0
+                            else rng.uniform(-160, 200) for i in range(2 * n)]
+                xa, ya = _core_py._chain(
+                    *state, controls, TABLE["m"], TABLE["iz"], TABLE["lf"],
+                    TABLE["lr"], TABLE["caf"], TABLE["car"], TABLE["rw"],
+                    0.1, yaw_div_m)[:2]
+                refs = tuple(v + rng.uniform(-1, 1)
+                             for xy in zip(xa, ya) for v in xy)
+                y_upper = rng.choice((5.25, max(ya) + 0.2, ya[n // 2]))
+                obs = (xa[-1] + rng.uniform(2, 6), ya[-1] + rng.uniform(-3, 3),
+                       xa[0] - rng.uniform(2, 6), ya[0]) if obstacles else ()
+                yield _cost_args(state, controls, refs, diff, obs,
+                                 0.2 if obstacles else 0.0, yaw_div_m,
+                                 y_upper, b1, b3)
+
+
+# The ways a horizon scores +inf, by name: (state, one step's controls,
+# _cost_args keywords).  Straight ahead at 10 m/s from x = 0, the first
+# predicted point is (1, y).
+_INF_PATHS = {
+    "start_below_speed_floor": ((0.05, 0.0, 0.0, 0.0, 0.0, 0.0),
+                                (0.0, 0.0), {}),
+    "mid_chain_below_speed_floor": ((0.15, 0.0, 0.0, 0.0, 0.0, 0.0),
+                                    (0.0, -160.0), {}),
+    "on_upper_boundary": ((10.0, 0.0, 0.0, 0.0, 1.0, 0.0), (0.0, 0.0),
+                          {"y_upper": 1.0}),
+    "on_lower_boundary": ((10.0, 0.0, 0.0, 0.0, -1.75, 0.0), (0.0, 0.0),
+                          {}),
+    "on_obstacle_centre": ((10.0, 0.0, 0.0, 0.0, 1.0, 0.0), (0.0, 0.0),
+                           {"obs": (1.0, 1.0), "ow": 0.5}),
+    "infinite_heading": ((10.0, 0.0, 0.0, 0.0, 0.0, math.inf), (0.0, 0.0),
+                         {}),
+}
 
 _SPANS = (2 * 0.785, 360.0)
 
@@ -111,6 +161,31 @@ class TestCostGradient:
         args = _cost_args(state, controls, refs, obs=(2.0, 1.0), ow=0.5)
         assert mod.horizon_cost(*args) == math.inf
         assert mod.horizon_cost_grad(*args) == (math.inf, None)
+
+
+class TestGeneratedKernel:
+    """horizon_cost_grad runs straight-line code generated per horizon and
+    term set; it equals the loop form (tests/loop_reference.py) bit for
+    bit."""
+
+    def test_matches_loop_bitwise(self):
+        outcomes = set()
+        for trial, args in enumerate(_generated_cases(random.Random(53))):
+            got = _core_py.horizon_cost_grad(*args)
+            assert repr(got) == repr(loop_cost_grad(*args)), f"trial {trial}"
+            outcomes.add(got[1] is None)
+        assert outcomes == {False, True}  # finite and +inf cases both ran
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("path", sorted(_INF_PATHS))
+    def test_every_infinite_path(self, path, n):
+        state, step, kw = _INF_PATHS[path]
+        y = state[4]
+        refs = tuple(v for i in range(n) for v in (i + 1.0, y))
+        args = _cost_args(state, list(step) * n, refs, **kw)
+        assert _core_py.horizon_cost(*args) == math.inf
+        assert _core_py.horizon_cost_grad(*args) == (math.inf, None)
+        assert loop_cost_grad(*args) == (math.inf, None)
 
 
 class TestKernelContracts:

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from lanempc import optimize
 from lanempc.optimize import BoxResult, minimize_box
 
 from fd_reference import fd_gradient
+from loop_reference import bfgs_update
 
 
 def quadratic(centre):
@@ -128,6 +130,17 @@ class TestMinimizeBox:
                            match=r"lower\[1\] must be < upper\[1\]"):
             minimize_box(quadratic([0.3, 0.7]), [0.0, 0.25], [1.0, 0.25],
                          [0.5, 0.25])
+
+    @pytest.mark.parametrize("hessian", [
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # 3x3 on 2
+        [[1.0]],                                               # 1x1
+        [[1.0, 0.0]],                                          # 1x2
+        [[1.0, 0.0], [0.0]],                                   # ragged
+    ])
+    def test_misshaped_hessian_rejected(self, hessian):
+        with pytest.raises(ValueError, match="hessian must be 2 rows of 2"):
+            minimize_box(quadratic([0.3, 0.7]), [0.0, 0.0], [1.0, 1.0],
+                         [0.5, 0.5], hessian=hessian)
 
     def test_mixed_scale_box(self):
         # coordinates spanning 1.5 and 360 units, like steering vs torque
@@ -308,6 +321,38 @@ class TestInitialCurvature:
         assert res == minimize_box(fg, lower, upper, [0.0, 0.0, 0.0],
                                    hessian=sym)
         assert res.converged and res.x[1] == 1.0
+
+
+class TestGeneratedUpdate:
+    """The straight-line BFGS update minimize_box generates for each size
+    equals the loop form (tests/loop_reference.py) bit for bit."""
+
+    @staticmethod
+    def problem(rng, n, definite):
+        # A symmetric B (positive definite, or negative definite so that
+        # s'Bs <= 0), a step s and a gradient change y with s'y > 0.
+        m = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+        sign = 1.0 if definite else -1.0
+        b_mat = [[sign * (sum(m[a][k] * m[b][k] for k in range(n))
+                          + (a == b)) for b in range(n)] for a in range(n)]
+        s = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        y = [v + rng.uniform(-0.5, 0.5) * abs(v) for v in s]
+        return b_mat, s, y, sum(p * q for p, q in zip(s, y))
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 16, 128])
+    def test_matches_loop_bitwise(self, n):
+        # Every fourth B is negative definite: s'Bs <= 0, and both forms
+        # skip the update and leave B as it was.
+        rng = random.Random(n)
+        update = optimize._bfgs_update(n)
+        for trial in range(12 if n < 128 else 4):
+            skip = trial % 4 == 3
+            b_mat, s, y, sy = self.problem(rng, n, not skip)
+            before = repr(b_mat)
+            want = bfgs_update(b_mat, s, y, sy)
+            got = update(b_mat, s, y, sy)
+            assert repr(got) == repr(want), f"trial {trial}"
+            assert (got is b_mat and repr(got) == before) == skip
 
 
 class TestFdGradient:

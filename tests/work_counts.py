@@ -4,9 +4,13 @@ work of two commits without timing them.
 For each shipped scenario it runs one integrated ``harness.run`` (the
 initial plan included) under ``sys.settrace`` with opcode events on, and
 counts every bytecode executed in a ``lanempc`` module, per module and in
-total.  Code outside the package (the standard library) is not counted.
-The counts need no warm-up and no quiet host: a repeat run gives the
-same numbers.  The four traced runs take a few seconds.
+total.  Code outside the package (the standard library) is not counted;
+code the package generates and compiles at run time counts under the
+module that generated it.  The counts need no quiet host: a repeat run
+gives the same numbers.  Each scenario first runs once untraced, because
+the first solve at a size in a process generates that size's kernels;
+the count is of a run that reuses them, the same in any process, and
+leaves the one-off generation out.  The runs take a few seconds.
 
 The first line names the platform (Python version and ``sys.platform``),
 because the bytecode a function compiles to depends on the Python
@@ -59,6 +63,7 @@ def listing():
     params, cfg = VehicleParams(), MpcConfig()
     for name in SHIPPED:
         scenario = load_scenario(name)
+        harness.run(scenario, params, cfg)
         counts = count_bytecodes(lambda: harness.run(scenario, params, cfg))
         yield name
         for module in sorted(counts):
