@@ -13,7 +13,7 @@ tracker knows nothing about the cost function.
 import math
 from dataclasses import dataclass
 
-from . import dynamics, kernels
+from . import _core_py, dynamics
 from .dubins import (PathConstructionError, build_lane_change_path,
                      nearest_arclength, sample_reference)
 from .mpc import (horizon_objective, reference_for_horizon, shift_warm_start,
@@ -199,8 +199,8 @@ def _two_level(scenario, params, cfg):
         delta = min(cfg.delta_max, max(-cfg.delta_max, delta))
         torque = _SPEED_GAIN * (vx_ref - state.vx)
         torque = min(cfg.Td_max, max(-cfg.Tb_max, torque))
-        horizon_cost = horizon_objective(kernels.active().horizon_cost,
-                                         state, road, refs, params, cfg)
+        horizon_cost = horizon_objective(_core_py.horizon_cost, state,
+                                         road, refs, params, cfg)
         cost = horizon_cost([delta, torque] * cfg.Np)
         return (delta, torque), cost, True
 

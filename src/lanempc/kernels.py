@@ -1,9 +1,9 @@
-"""Kernel backend lookup.
+"""Kernel backend lookup, kept for the benchmark.
 
-The prediction/cost kernels live in one pure-Python module,
-lanempc._core_py, registered as the "python" backend.  The package fetches
-them through ``active()`` at each call; the benchmark looks backends up by
-name (``available()``, ``backend_name()``, ``get()``).
+The horizon cost lives in one pure-Python module, lanempc._core_py,
+registered here as the "python" backend.  The package itself calls
+``_core_py`` directly; only the benchmark looks backends up, by name
+(``available()``, ``backend_name()``, ``get()``) or as ``active()``.
 """
 
 from . import _core_py

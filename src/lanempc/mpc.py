@@ -12,7 +12,7 @@ scenarios may run concurrently.
 import math
 from dataclasses import dataclass
 
-from . import kernels
+from . import _core_py
 from .dubins import sample_reference
 from .optimize import minimize_box
 
@@ -121,8 +121,9 @@ def flatten_pairs(pairs):
 
 
 def horizon_objective(kernel, state, road, refs, params, cfg):
-    """``kernel`` (``horizon_cost``, or ``horizon_cost_grad`` for the
-    gradient too) bound to one step's problem: the state, refs, road
+    """``kernel`` (``_core_py.horizon_cost``, or
+    ``_core_py.horizon_cost_grad`` for the gradient too; the first is the
+    second's value) bound to one step's problem: the state, refs, road
     boundaries and cfg's weights; obstacles reach it only through refs, the
     plan's points.  Returns the cost as a function of the flat controls."""
     sx = (state.vx, state.vy, state.r, state.X, state.Y, state.psi)
@@ -198,8 +199,8 @@ def solve_step(state, road, refs, params, cfg, warm, hessian=None):
     on fallback.
     """
     # (J, dJ/dz) of the flat control sequence z
-    objective = horizon_objective(kernels.active().horizon_cost_grad, state,
-                                  road, refs, params, cfg)
+    objective = horizon_objective(_core_py.horizon_cost_grad, state, road,
+                                  refs, params, cfg)
 
     lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
     upper = [cfg.delta_max, cfg.Td_max] * cfg.Np

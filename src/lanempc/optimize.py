@@ -56,11 +56,12 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     Returns a BoxResult whose x lies exactly inside the box (clipping, not
     tolerance) and whose fun never exceeds the value at the clipped start.
     residual is the span-scaled projected gradient's largest entry at x
-    (inf at a non-finite start).  stop is why the iteration ended:
-    "tolerance" (residual at most ``tol * (1 + |fun|)``), "iteration_cap",
-    "line_search" (no acceptable step even along steepest descent) or
-    "nonfinite_start".  converged is ``stop == "tolerance"``; a tol finer
-    than the values' rounding can resolve ends on "line_search".  n_eval
+    (inf at a non-finite start; NaN entries left out).  stop is why the
+    iteration ended: "tolerance" (residual at most ``tol * (1 + |fun|)``
+    and no gradient entry NaN), "iteration_cap", "line_search" (no
+    acceptable step even along steepest descent) or "nonfinite_start".
+    converged is ``stop == "tolerance"``; a tol finer than the values'
+    rounding can resolve ends on "line_search".  n_eval
     counts calls of fg; iterations counts accepted steps.  hessian is B
     when the iteration stopped, in x units, or the given estimate when the
     start is not finite.
@@ -106,7 +107,9 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
             a = abs(gj)
             if a > pg:
                 pg = a
-        if pg <= tol * (1.0 + abs(fx)):
+        # A NaN entry is free but never raises pg, so it is tested apart:
+        # no point with one passes the test.
+        if pg <= tol * (1.0 + abs(fx)) and not any(map(math.isnan, g)):
             stop = "tolerance"
             break
         if iterations >= max_iter:

@@ -1,13 +1,157 @@
 """The loop forms of the two generated kernels, kept as the references the
 generated straight-line code must match bit for bit.
 
-``horizon_cost_grad`` composes ``_core_py._chain``, ``_core_py._cost_partials``
-and a reverse (adjoint) sweep written as a loop; ``bfgs_update`` is the
+``_chain`` (the Euler prediction), ``_cost_partials`` (the cost sum with
+its partials) and the reverse (adjoint) sweep in ``horizon_cost_grad`` are
+``_core_py.horizon_cost_grad`` written as loops; ``bfgs_update`` is the
 BFGS update of ``optimize.minimize_box`` written as loops.  Each performs
 the float operations in the order the generated code must keep.
 """
 
-from lanempc._core_py import INF, _chain, _cost_partials
+import math
+
+from lanempc.dynamics import VX_FLOOR
+
+INF = math.inf
+
+
+def _chain(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf, car, rw,
+           dt, yaw_div_m):
+    """Chained one-step-Euler prediction over ``len(controls) // 2`` steps
+    (``controls`` flat ``[delta_0, torque_0, delta_1, torque_1, ...]``).
+    Per step: lateral tire forces from the previous state, Euler update of
+    the body velocities, yaw rate and heading, rotation of the new body
+    velocities into the global frame, Euler update of the global position
+    with them.  ``yaw_div_m`` divides the yaw-rate update by the mass, not
+    the inertia (a documented quirk).
+
+    Returns ``(xa, ya, rs, tape)``: lists of the predicted global x, global
+    y and yaw rate, and per step the record ``(vx, vy, r, sd, cd, fcf, cp,
+    sp, vxg, vyg)`` an adjoint sweep reads: the state the step starts
+    from, the steering's sine and cosine, the front force, the new
+    heading's cosine and sine and the new global velocity (the loop sweep
+    in ``horizon_cost_grad`` reads it; the generated kernel keeps these
+    values in locals).  Raises ValueError if a longitudinal speed in the
+    chain drops below VX_FLOOR.
+    """
+    n = len(controls) // 2
+    if vx < VX_FLOOR:
+        raise ValueError(f"longitudinal speed {vx!r} below floor {VX_FLOOR}")
+    sin = math.sin
+    cos = math.cos
+    div = m if yaw_div_m else iz
+    xa = []
+    ya = []
+    rs = []
+    tape = []
+    for i in range(n):
+        d = controls[2 * i]
+        tq = controls[2 * i + 1]
+        fcf = -caf * ((vy + lf * r) / vx - d)
+        fcr = -car * ((vy - lr * r) / vx)
+        sd = sin(d)
+        cd = cos(d)
+        vx_n = vx + (vy * r - (2.0 / m) * (fcf * sd - tq / rw)) * dt
+        vy_n = vy + (-vx * r + (2.0 / m) * (fcf * cd + fcr)) * dt
+        r_n = r + ((2.0 / div) * (lf * fcf - lr * fcr)) * dt
+        psi_n = psi + r * dt
+        if vx_n < VX_FLOOR:
+            raise ValueError(
+                f"predicted longitudinal speed {vx_n!r} below floor {VX_FLOOR}")
+        cp = cos(psi_n)
+        sp = sin(psi_n)
+        vxg = vx_n * cp - vy_n * sp
+        vyg = vx_n * sp + vy_n * cp
+        gx = gx + vxg * dt
+        gy = gy + vyg * dt
+        tape.append((vx, vy, r, sd, cd, fcf, cp, sp, vxg, vyg))
+        xa.append(gx)
+        ya.append(gy)
+        rs.append(r_n)
+        vx, vy, r, psi = vx_n, vy_n, r_n, psi_n
+    return xa, ya, rs, tape
+
+
+def _cost_partials(xa, ya, rs, r0, dt, refs, y_upper, y_lower,
+                   a1, b1, b2, b3, diff_mode, obs_pts, obs_weight):
+    """The horizon cost's sum with its partials in each predicted x, y and
+    yaw rate: ``(cost, jx, jy, jr)``, or None where the cost is +inf (a
+    zero divisor, such as a squared gap to a boundary line or an obstacle
+    centre that underflows to 0.0, included).  The boundary terms depend
+    on y alone, so they have no x-partials.
+    """
+    n = len(xa)
+    n_obs = len(obs_pts) // 2
+    j = 0.0
+    jx = [0.0] * n
+    jy = [0.0] * n
+    jr = [0.0] * n
+    try:
+        for i in range(n):
+            ex = xa[i] - refs[2 * i]
+            ey = ya[i] - refs[2 * i + 1]
+            j += a1 * (ex * ex + ey * ey)
+            gxi = 2.0 * a1 * ex
+            gyi = 2.0 * a1 * ey
+            # The boundary pair (values and slopes) is summed before
+            # accumulating so a mirrored problem (roles of the two
+            # boundaries swapped) scores bit-identically.
+            tu = 0.0
+            su = 0.0
+            if b1 != 0.0:
+                if ya[i] >= y_upper:
+                    return None
+                dy = ya[i] - y_upper
+                q = dy * dy
+                t = 1.0 / q
+                tu = b1 * (t * t)
+                su = -4.0 * tu * t * dy
+            tl = 0.0
+            sl = 0.0
+            if b2 != 0.0:
+                if ya[i] <= y_lower:
+                    return None
+                dy = ya[i] - y_lower
+                q = dy * dy
+                t = 1.0 / q
+                tl = b2 * (t * t)
+                sl = -4.0 * tl * t * dy
+            j += tu + tl
+            gyi += su + sl
+            if obs_weight != 0.0:
+                for o in range(n_obs):
+                    dx = xa[i] - obs_pts[2 * o]
+                    dy = ya[i] - obs_pts[2 * o + 1]
+                    t = 1.0 / (dx * dx + dy * dy)
+                    tob = obs_weight * (t * t)
+                    j += tob
+                    gxi -= 4.0 * tob * t * dx
+                    gyi -= 4.0 * tob * t * dy
+            jx[i] = gxi
+            jy[i] = gyi
+            if b3 != 0.0:
+                rp = rs[i - 1] if i > 0 else r0
+                if diff_mode == 1 and i + 1 < n:
+                    rd = (rs[i + 1] - rs[i]) / dt
+                    w = 2.0 * b3 * rd / dt
+                    jr[i + 1] += w
+                    jr[i] -= w
+                elif diff_mode == 2 and i + 1 < n:
+                    rd = (rs[i + 1] - rp) / (2.0 * dt)
+                    w = b3 * rd / dt
+                    jr[i + 1] += w
+                    if i > 0:
+                        jr[i - 1] -= w
+                else:
+                    rd = (rs[i] - rp) / dt
+                    w = 2.0 * b3 * rd / dt
+                    jr[i] += w
+                    if i > 0:
+                        jr[i - 1] -= w
+                j += b3 * (rd * rd)
+    except ZeroDivisionError:
+        return None
+    return j, jx, jy, jr
 
 
 def horizon_cost_grad(vx, vy, r, gx, gy, psi, controls, m, iz, lf, lr, caf,

@@ -19,6 +19,8 @@ from lanempc.scenario import (Obstacle, Road, Scenario, obstacle_boundary_at,
                               rect_signed_distance)
 
 from fd_reference import fd_gradient
+from loop_reference import _chain
+from loop_reference import horizon_cost_grad as loop_cost_grad
 from shipped import SCENARIO_DIR, load_scenario
 
 
@@ -72,9 +74,16 @@ def test_criterion_1_predictor_equation_fidelity(table_params):
     t0 = time.monotonic()
     cfg = MpcConfig(Np=1)
     p = table_params
-    xa, ya, rs, tape = _core_py._chain(
-        10.0, 0.0, 0.0, 0.0, 0.0, 0.0, [0.05, 0.0], p.m, p.Iz, p.lf, p.lr,
-        p.Caf, p.Car, p.Rw, cfg.dt, cfg.yaw_div_m)
+    # The loop reference's step record, evaluated by hand below; the
+    # library's horizon_cost is held equal to the reference's cost here.
+    state = (10.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    args = (*state, [0.05, 0.0], p.m, p.Iz, p.lf, p.lr, p.Caf, p.Car, p.Rw,
+            cfg.dt, cfg.yaw_div_m)
+    xa, ya, rs, tape = _chain(*args)
+    cost_args = (*args, (1.0, 0.0), 5.25, -1.75, cfg.a1, cfg.b1, cfg.b2,
+                 cfg.b3, cfg.diff_code, (), 0.0)
+    cost = _core_py.horizon_cost(*cost_args)
+    same_cost = repr(cost) == repr(loop_cost_grad(*cost_args)[0])
     _, _, _, _, _, fcf_got, cp, sp, vxg, vyg = tape[0]
     # hand evaluation of the discrete chain with the table values
     fcf = -12000.0 * ((0.0 + 1.2 * 0.0) / 10.0 - 0.05)
@@ -97,8 +106,10 @@ def test_criterion_1_predictor_equation_fidelity(table_params):
                 for g, w in pairs)
     elapsed = time.monotonic() - t0
     _report(1, "predictor equation fidelity",
-            worst <= 1e-9 and elapsed < 1.0,
-            f"worst rel err {worst:.2e}, {elapsed:.2f}s")
+            worst <= 1e-9 and same_cost and elapsed < 1.0,
+            f"worst rel err {worst:.2e}, cost {cost!r} "
+            f"{'equals' if same_cost else 'differs from'} the reference's, "
+            f"{elapsed:.2f}s")
 
 
 def test_criterion_2_path_geometry(table_params):

@@ -393,6 +393,29 @@ def test_extreme_input_aborts_without_a_traceback(tmp_path, capsys, ego_x,
     assert all(len(y) <= 12 for y in ys), ys
 
 
+@pytest.mark.parametrize("ego_y,code,message", [
+    # The squared gap to the lower line underflows to 0.0: the cost scores
+    # the point as on the line (+inf) instead of dividing by zero.
+    (1e-170, 3, "no finite cost for 3 consecutive steps ending t=0.20"),
+    # The boundary slope overflows: a finite cost with a NaN gradient,
+    # which passes no optimality test.
+    (1e-60, 0, ""),
+], ids=["gap_underflows", "slope_overflows"])
+def test_ego_almost_on_a_boundary_line(tmp_path, capsys, ego_y, code,
+                                       message):
+    doc = {"road": {"lane_width": 3.5, "lower_boundary_y": 0.0},
+           "ego": {"x": 0.0, "y": ego_y, "vx": 10.0}, "obstacles": [],
+           "duration": 1.0}
+    p = tmp_path / "sc.json"
+    p.write_text(json.dumps(doc))
+    rc = cli.main(["run", "--scenario", str(p), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert message in err and "Traceback" not in err
+    rows = read_trajectory_csv(tmp_path / "trajectory_integrated.csv")
+    assert rows and not any(row["converged"] for row in rows)
+
+
 # Plan searches in one CLI run of each shipped scenario: one per step and
 # one per accepted rebuild, all made by harness.run; the metrics read the
 # logged distances and search nothing.

@@ -6,6 +6,7 @@ import pytest
 from lanempc import _core_py, kernels
 
 from fd_reference import fd_gradient
+from loop_reference import _chain, _cost_partials
 from loop_reference import horizon_cost_grad as loop_cost_grad
 
 TABLE = dict(m=2000.0, iz=1300.0, lf=1.2, lr=1.05, caf=12000.0, car=12000.0,
@@ -13,10 +14,11 @@ TABLE = dict(m=2000.0, iz=1300.0, lf=1.2, lr=1.05, caf=12000.0, car=12000.0,
 
 
 def _cost_args(state, controls, refs, diff_mode=1, obs=(), ow=0.0,
-               yaw_div_m=False, y_upper=5.25, b1=0.001, b3=0.01):
+               yaw_div_m=False, y_upper=5.25, b1=0.001, b3=0.01,
+               y_lower=-1.75):
     return (*state, controls, TABLE["m"], TABLE["iz"], TABLE["lf"],
             TABLE["lr"], TABLE["caf"], TABLE["car"], TABLE["rw"], 0.1,
-            yaw_div_m, refs, y_upper, -1.75, 1.0, b1, 0.001, b3,
+            yaw_div_m, refs, y_upper, y_lower, 1.0, b1, 0.001, b3,
             diff_mode, obs, ow)
 
 
@@ -33,7 +35,7 @@ def _variant_cases(rng, count):
                     else rng.uniform(-100, 150) for i in range(2 * n)]
         yaw_div_m = trial % 2 == 1
         diff = trial % 3
-        xa, ya = _core_py._chain(
+        xa, ya = _chain(
             *state, controls, TABLE["m"], TABLE["iz"], TABLE["lf"],
             TABLE["lr"], TABLE["caf"], TABLE["car"], TABLE["rw"], 0.1,
             yaw_div_m)[:2]
@@ -65,7 +67,7 @@ def _generated_cases(rng):
                          rng.uniform(-1, 1), rng.uniform(-0.1, 0.1))
                 controls = [rng.uniform(-0.3, 0.3) if i % 2 == 0
                             else rng.uniform(-160, 200) for i in range(2 * n)]
-                xa, ya = _core_py._chain(
+                xa, ya = _chain(
                     *state, controls, TABLE["m"], TABLE["iz"], TABLE["lf"],
                     TABLE["lr"], TABLE["caf"], TABLE["car"], TABLE["rw"],
                     0.1, yaw_div_m)[:2]
@@ -93,6 +95,13 @@ _INF_PATHS = {
                           {}),
     "on_obstacle_centre": ((10.0, 0.0, 0.0, 0.0, 1.0, 0.0), (0.0, 0.0),
                            {"obs": (1.0, 1.0), "ow": 0.5}),
+    # The squared gap to the line or the centre underflows to 0.0.
+    "upper_gap_underflows": ((10.0, 0.0, 0.0, 0.0, -1e-170, 0.0),
+                             (0.0, 0.0), {"y_upper": 0.0}),
+    "lower_gap_underflows": ((10.0, 0.0, 0.0, 0.0, 1e-170, 0.0),
+                             (0.0, 0.0), {"y_lower": 0.0}),
+    "obstacle_gap_underflows": ((10.0, 0.0, 0.0, 0.0, 1e-170, 0.0),
+                                (0.0, 0.0), {"obs": (1.0, 0.0), "ow": 0.5}),
     "infinite_heading": ((10.0, 0.0, 0.0, 0.0, 0.0, math.inf), (0.0, 0.0),
                          {}),
 }
@@ -116,12 +125,13 @@ class TestBackendSelection:
 
 class TestCostGradient:
     def test_cost_equals_horizon_cost_bitwise(self):
-        mod = kernels.active()
+        # horizon_cost against the loop reference's cost.
         for trial, (_, args) in enumerate(
                 _variant_cases(random.Random(31), 240)):
-            cost, grad = mod.horizon_cost_grad(*args)
-            assert cost == mod.horizon_cost(*args), f"trial {trial}"
-            assert len(grad) == len(args[6])
+            want = loop_cost_grad(*args)[0]
+            assert repr(_core_py.horizon_cost(*args)) == repr(want), \
+                f"trial {trial}"
+            assert len(_core_py.horizon_cost_grad(*args)[1]) == len(args[6])
 
     def test_gradient_matches_finite_differences(self):
         mod = kernels.active()
@@ -191,10 +201,9 @@ class TestGeneratedKernel:
 class TestKernelContracts:
     def test_speed_floor_raises(self):
         with pytest.raises(ValueError):
-            _core_py._chain(0.05, 0.0, 0.0, 0.0, 0.0, 0.0, [0.0, 0.0],
-                            TABLE["m"], TABLE["iz"], TABLE["lf"],
-                            TABLE["lr"], TABLE["caf"], TABLE["car"],
-                            TABLE["rw"], 0.1, False)
+            _chain(0.05, 0.0, 0.0, 0.0, 0.0, 0.0, [0.0, 0.0], TABLE["m"],
+                   TABLE["iz"], TABLE["lf"], TABLE["lr"], TABLE["caf"],
+                   TABLE["car"], TABLE["rw"], 0.1, False)
 
     def test_fused_returns_inf_on_floor(self):
         mod = kernels.active()
@@ -219,11 +228,11 @@ class TestKernelContracts:
             assert mod.horizon_cost_grad(*args) == (math.inf, None)
             # and in the cost sum itself, where None stands for +inf
             ys = (y, y, y)
-            assert _core_py._cost_partials(
+            assert _cost_partials(
                 (1.0, 2.0, 3.0), ys, (0.0,) * 3, 0.0, 0.1, refs, y_upper,
                 -1.75, 1.0, 0.001, 0.001, 0.01, 1, (), 0.0) is None
             # a zero weight turns its line's barrier off
-            assert _core_py._cost_partials(
+            assert _cost_partials(
                 (1.0, 2.0, 3.0), ys, (0.0,) * 3, 0.0, 0.1, refs, y_upper,
                 -1.75, 1.0, 0.0, 0.0, 0.01, 1, (), 0.0)[0] == 0.0
 
@@ -234,9 +243,8 @@ class TestKernelContracts:
         refs = (1.0, 0.0, 2.0, 0.0, 3.0, 0.0)
 
         def yaw_cost(diff_mode):
-            return _core_py._cost_partials(xa, ya, rs, 0.0, 0.1, refs,
-                                           99.0, -99.0, 0.0, 0.0, 0.0, 1.0,
-                                           diff_mode, (), 0.0)[0]
+            return _cost_partials(xa, ya, rs, 0.0, 0.1, refs, 99.0, -99.0,
+                                  0.0, 0.0, 0.0, 1.0, diff_mode, (), 0.0)[0]
 
         backward = ((0.1 / 0.1) ** 2 + (0.2 / 0.1) ** 2 + (-0.1 / 0.1) ** 2)
         forward = ((0.2 / 0.1) ** 2 + (-0.1 / 0.1) ** 2 + (-0.1 / 0.1) ** 2)
@@ -248,8 +256,7 @@ class TestKernelContracts:
     def test_obstacle_repulsion(self):
         # One point at (1, 0), on its reference, 2 m from an obstacle centre
         # at (1, 2): only the repulsion term scores, weight * (1 / d^2)^2.
-        got = _core_py._cost_partials((1.0,), (0.0,), (0.0,), 0.0, 0.1,
-                                      (1.0, 0.0), 99.0, -99.0,
-                                      0.0, 0.0, 0.0, 0.0, 1, (1.0, 2.0),
-                                      0.5)[0]
+        got = _cost_partials((1.0,), (0.0,), (0.0,), 0.0, 0.1, (1.0, 0.0),
+                             99.0, -99.0, 0.0, 0.0, 0.0, 0.0, 1, (1.0, 2.0),
+                             0.5)[0]
         assert got == pytest.approx(0.5 * (1.0 / 4.0) ** 2, rel=1e-12)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lanempc import _core_py, kernels, mpc
+from lanempc import kernels, mpc
 from lanempc.dubins import build_lane_change_path, nearest_arclength
 from lanempc.dynamics import VehicleState, state_derivative, ControlInput
 from lanempc.mpc import (MpcConfig, difference_hessian, flatten_pairs,
@@ -13,6 +13,7 @@ from lanempc.optimize import minimize_box
 from lanempc.scenario import Obstacle, Road, Scenario
 
 from fd_reference import fd_gradient
+from loop_reference import _chain, _cost_partials
 
 
 def S(vx=10.0, vy=0.0, r=0.0, X=0.0, Y=0.0, psi=0.0):
@@ -21,8 +22,8 @@ def S(vx=10.0, vy=0.0, r=0.0, X=0.0, Y=0.0, psi=0.0):
 
 def chain(state, seq, params, cfg):
     """The Euler chain's ``(xa, ya, rs, tape)`` for state under the
-    control pairs seq (``_core_py._chain``)."""
-    return _core_py._chain(
+    control pairs seq (the loop reference's ``_chain``)."""
+    return _chain(
         state.vx, state.vy, state.r, state.X, state.Y, state.psi,
         flatten_pairs(seq), params.m, params.Iz, params.lf, params.lr,
         params.Caf, params.Car, params.Rw, cfg.dt, cfg.yaw_div_m)
@@ -188,10 +189,11 @@ def _flat_points(ys, rs=None, r0=0.0):
 
 
 def point_cost(points, refs, road, cfg, r0=0.0):
-    """The cost sum (``_core_py._cost_partials``) of hand-made points, the
-    chain having started from yaw rate r0; None stands for +inf."""
+    """The cost sum (the loop reference's ``_cost_partials``) of hand-made
+    points, the chain having started from yaw rate r0; None stands for
+    +inf."""
     xa, ya, rs = points
-    parts = _core_py._cost_partials(
+    parts = _cost_partials(
         xa, ya, rs, r0, cfg.dt, flatten_pairs(refs), road.upper_boundary_y,
         road.lower_boundary_y, cfg.a1, cfg.b1, cfg.b2, cfg.b3, cfg.diff_code,
         (), 0.0)

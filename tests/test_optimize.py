@@ -220,6 +220,15 @@ class TestStopReason:
         assert res.x == (0.5,) and res.iterations == 0 and res.n_eval == 81
         assert res.hessian == ((1.0,),)
 
+    @pytest.mark.parametrize("g", [[math.nan, math.nan], [math.nan, 0.0]])
+    def test_nan_gradient_fails_the_tolerance_test(self, g):
+        # A finite value with a NaN gradient (as an overflowing boundary
+        # slope gives) is no optimum, whatever entries follow the NaN.
+        res = minimize_box(lambda x: (3.0e237, list(g)), [-1.0, -1.0],
+                           [1.0, 1.0], [0.0, 0.0])
+        assert res.converged is False
+        assert res.stop == "line_search" and res.n_eval == 1
+
     def test_nonfinite_start(self):
         res = minimize_box(lambda x: (math.inf, None), [0.0], [1.0], [0.5])
         assert res.stop == "nonfinite_start"

@@ -14,5 +14,6 @@ def test_public_names_resolve_once_and_the_cost_has_one_route():
     for module, gone in ((lanempc, ("PredictedTrajectory", "predict",
                                     "cost")),
                          (mpc, ("PredictedTrajectory", "predict", "cost")),
-                         (_core_py, ("predict_steps", "trajectory_cost"))):
+                         (_core_py, ("predict_steps", "trajectory_cost",
+                                     "_chain", "_cost_partials"))):
         assert [n for n in gone if hasattr(module, n)] == [], module.__name__
