@@ -16,7 +16,7 @@ all queries are pure.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .scenario import (Rect, obstacle_boundary_at, obstacle_pose_at,
                        rect_signed_distance)
@@ -81,6 +81,14 @@ class ReferencePath:
     # Speed the geometry was designed for; horizon references advance at
     # this pace.
     design_speed: float
+    # Per segment, (xmin, xmax, ymin, ymax) of its points at its ends and
+    # axis extremes (``_box``): computed when the path is made, from the
+    # fields above, and no part of its value (repr, ==, hash).
+    boxes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "boxes",
+                           tuple([_box(seg) for seg in self.segments]))
 
     def waypoint_labels(self):
         return tuple(f"P{i}" for i in range(len(self.waypoints)))
@@ -150,15 +158,64 @@ def _nearest_on_segment(seg, px, py):
 
 
 def nearest_arclength(path, px, py):
-    """Arclength of the nearest path point to (px, py), plus the distance."""
+    """Arclength of the nearest path point to (px, py), plus the distance.
+
+    The result is that of scanning every segment in order and keeping the
+    first strictly nearer one.  A segment whose bounding box (``boxes``)
+    lies farther than an upper bound on the distance cannot be the nearest
+    and is not evaluated: the bound is the distance to the first segment
+    whose x-range holds px, widened by 1e-9 of that distance and of the
+    query's coordinates.  Sampled points round by about 1e-16 of their
+    coordinates and radii, so the margin holds unless a radius is some
+    million times the coordinates.  Nothing is assumed about the order of
+    the segments; a non-finite query scans them all.  An arc's box is
+    sampled along its length and the query follows its sweep, so each
+    arc's length must be radius * |sweep|, as `build_lane_change_path`
+    makes it.
+    """
+    segments = path.segments
+    reach = math.inf
+    for k, (x0, x1, _, _) in enumerate(path.boxes):
+        if x0 <= px <= x1:
+            near = _nearest_on_segment(segments[k], px, py)
+            dk = math.sqrt(near[0])
+            reach = dk + 1e-9 * (1.0 + abs(px) + abs(py) + dk)
+            break
+    else:
+        k = -1
     best_d2 = math.inf
     best_s = 0.0
-    for seg, off in zip(path.segments, path.offsets):
-        d2, local = _nearest_on_segment(seg, px, py)
+    for i, (seg, off, (x0, x1, y0, y1)) in enumerate(
+            zip(segments, path.offsets, path.boxes)):
+        if (px < x0 - reach or px > x1 + reach
+                or py < y0 - reach or py > y1 + reach):
+            continue
+        d2, local = near if i == k else _nearest_on_segment(seg, px, py)
         if d2 < best_d2:
             best_d2 = d2
             best_s = off + local
     return best_s, math.sqrt(best_d2)
+
+
+def _cuts(seg):
+    """Local arclengths of a segment's ends and, on an arc, of the points
+    where x or y is extreme."""
+    if seg.kind == "arc":
+        return [0.0, seg.length] + _arc_params(seg, _EXTREME_ANGLES)
+    return [0.0, seg.length]
+
+
+def _box(seg):
+    """(xmin, xmax, ymin, ymax) of a segment's points at its ``_cuts``: its
+    bounding box, as sampled.  ymin and ymax are NaN when any sampled y
+    is, so that a range test on them fails exactly when a sample fails
+    it."""
+    points = [_sample_segment(seg, t) for t in _cuts(seg)]
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    if any(map(math.isnan, ys)):
+        return min(xs), max(xs), math.nan, math.nan
+    return min(xs), max(xs), min(ys), max(ys)
 
 
 # -- construction -------------------------------------------------------------
@@ -485,28 +542,27 @@ def _validate(path, road, rects):
     the points where x or y is extreme.  Between neighbouring cuts a segment
     lies wholly inside or wholly outside a rectangle and its y is monotone,
     so testing the cuts and the midpoints between them decides both checks
-    with no gaps.
+    with no gaps.  The segment's box in ``path.boxes`` spans its points at
+    the cuts that do not depend on a rectangle: its y-range decides the
+    road check (the cuts are sampled again only to name a failing one),
+    and a rectangle it misses needs no cuts at all.
     """
     lower = road.lower_boundary_y
     upper = road.upper_boundary_y
-    for seg, off in zip(path.segments, path.offsets):
-        cuts = [0.0, seg.length]
-        if seg.kind == "arc":
-            cuts += _arc_params(seg, _EXTREME_ANGLES)
-        points = [_sample_segment(seg, t)[:2] for t in cuts]
-        for t, (_, y) in zip(cuts, points):
-            if not lower < y < upper:
-                raise PathConstructionError(
-                    f"constructed path leaves the road at "
-                    f"s={off + t:.2f} (y={y:.3f})")
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    for seg, off, (x0, x1, y0, y1) in zip(path.segments, path.offsets,
+                                          path.boxes):
+        if not (lower < y0 and y1 < upper):
+            for t in _cuts(seg):
+                y = _sample_segment(seg, t)[1]
+                if not lower < y < upper:
+                    raise PathConstructionError(
+                        f"constructed path leaves the road at "
+                        f"s={off + t:.2f} (y={y:.3f})")
         for rect in rects:
             if (x1 <= rect.xmin or x0 >= rect.xmax
                     or y1 <= rect.ymin or y0 >= rect.ymax):
                 continue  # the segment's bounding box misses the rectangle
-            ts = sorted(cuts
+            ts = sorted(_cuts(seg)
                         + _crossings(seg, 0, rect.xmin + _GRAZE)
                         + _crossings(seg, 0, rect.xmax - _GRAZE)
                         + _crossings(seg, 1, rect.ymin + _GRAZE)

@@ -127,12 +127,14 @@ def state_derivative(state, u, params):
 def step(state, u, params, dt):
     """Advance the plant by dt with one classical 4-stage (RK4) step.
 
-    dt == 0 returns the state unchanged.  Raises LowSpeedError if any stage
+    dt == 0 returns the state itself.  Raises LowSpeedError if any stage
     evaluates below the speed floor and PlantFailureError if a stage's heading
     or the result is non-finite, or the result is below the floor.
     """
     if dt < 0.0:
         raise ValueError(f"dt must be >= 0, got {dt!r}")
+    if dt == 0.0:
+        return state
     d, tr, p = u.delta_f, u.Tr, params
     y0 = (state.vx, state.vy, state.r, state.X, state.Y, state.psi)
 

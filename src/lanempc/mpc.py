@@ -205,24 +205,24 @@ def solve_step(state, road, refs, params, cfg, warm, hessian=None):
     lower = [-cfg.delta_max, -cfg.Tb_max] * cfg.Np
     upper = [cfg.delta_max, cfg.Td_max] * cfg.Np
     warm_flat = flatten_pairs(warm)
-    warm_clipped = [min(upper[j], max(lower[j], warm_flat[j]))
-                    for j in range(2 * cfg.Np)]
 
     seed = hessian
     n_eval = 0
     if seed is None:
+        warm_clipped = [min(upper[j], max(lower[j], warm_flat[j]))
+                        for j in range(2 * cfg.Np)]
         seed = difference_hessian(
             objective, warm_clipped,
             [1e-6 * (u - lo) for lo, u in zip(lower, upper)])
         n_eval = 2 * len(warm_clipped)
 
-    box = minimize_box(objective, lower, upper, warm_clipped,
+    # minimize_box clips its start to the box as warm_clipped is clipped.
+    box = minimize_box(objective, lower, upper, warm_flat,
                        tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
                        hessian=seed)
     n_eval += box.n_eval
 
-    # With no finite cost, box.x is warm_clipped: minimize_box clips its
-    # start the same way and returns it.
+    # With no finite cost, box.x is the clipped warm start.
     finite = math.isfinite(box.fun)
     seq = tuple((box.x[2 * i], box.x[2 * i + 1]) for i in range(cfg.Np))
     return SolveResult(u0=seq[0], sequence=seq, cost=box.fun,

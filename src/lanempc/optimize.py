@@ -35,13 +35,15 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
                  hessian=None):
     """Minimize a smooth function over the box [lower, upper] from x0.
 
-    fg takes a list of floats and returns ``(value, gradient)``; a value of
-    +inf (gradient ignored) rejects the point.  The iteration keeps a dense
-    Hessian estimate B in span-normalised coordinates, exactly symmetric
-    (each BFGS update is generated straight-line code for n coordinates,
-    ``_bfgs_source``), frees the coordinates whose gradient points into
-    the box, takes the direction from a Cholesky solve with B's free block
-    and steps along the projection arc with Armijo backtracking.  When that
+    fg takes a list of floats and returns ``(value, gradient)``, the
+    gradient a sequence of ``len(x0)`` entries; a value of +inf (gradient
+    ignored) rejects the point.  The iteration keeps a dense Hessian
+    estimate B in span-normalised coordinates, exactly symmetric, frees the
+    coordinates whose gradient points into the box, takes the direction
+    from a Cholesky solve with B's free block and steps along the
+    projection arc with Armijo backtracking.  It runs as straight-line code
+    generated once per number of coordinates n (``_solver_source``, and
+    ``_bfgs_source`` for the BFGS update).  When that
     block is not positive definite, the direction does not descend, or the
     line search finds no sufficient decrease along it, B restarts at the
     identity (whose direction is steepest descent) from the same point.
@@ -75,90 +77,192 @@ def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
     for j in range(n):
         if not lower[j] < upper[j]:
             raise ValueError(f"lower[{j}] must be < upper[{j}]")
-    span = [upper[j] - lower[j] for j in range(n)]
+    return _box_solver(n)(fg, lower, upper, x0, tol, max_iter, hessian)
+
+
+# Generated solvers by size; an entry is written once and never replaced,
+# so concurrent solves may share the dict.
+_BOX_SOLVERS = {}
+
+
+def _box_solver(n):
+    """The solver for n coordinates, generated from ``_solver_source`` the
+    first time n occurs in the process, and cached with its identity
+    matrix and BFGS update."""
+    try:
+        return _BOX_SOLVERS[n]
+    except KeyError:
+        names = {"__name__": __name__, "BoxResult": BoxResult,
+                 "isfinite": math.isfinite, "inf": math.inf,
+                 "chol": _cholesky_solve, "update": _bfgs_update(n),
+                 "trials": range(_MAX_HALVINGS),
+                 # Read, compared and replaced, never changed in place.
+                 "eye": [[float(a == b) for b in range(n)]
+                         for a in range(n)]}
+        return _BOX_SOLVERS.setdefault(n, compile_function(
+            _solver_source(n), "box_solve", n, names))
+
+
+def _solver_source(n):
+    """Source of ``box_solve(fg, lower, upper, start, tol, max_iter,
+    hessian)``, minimize_box's iteration for n coordinates after its
+    argument checks.
+
+    Straight-line code per coordinate, every coordinate's x, bounds, span,
+    scaled gradient, free flag, direction and trial point a local: the
+    clip of the start, the projected-gradient scan that also collects the
+    free set, the tolerance and NaN test, the direction from the Cholesky
+    solve (``_cholesky_solve``), the Armijo trials along the projection
+    arc, and the scaled step s, gradient change y and their products.  The
+    float operations run in the order of the loops they replace, so every
+    iterate is the same to the bit; tests/test_optimize.py holds it equal
+    to the loop form in tests/loop_reference.py.
+    """
     rng = range(n)
 
-    x = [min(hi, max(lo, v)) for v, lo, hi in zip(x0, lower, upper)]
-    fx, gx = fg(x)
-    evals = 1
-    if not math.isfinite(fx):
-        return BoxResult(tuple(x), fx, False, 0, evals, hessian,
-                         "nonfinite_start", math.inf)
-    # B is replaced, never changed in place, so it may be eye itself.
-    eye = [[float(a == b) for b in rng] for a in rng]
-    b_mat = eye if hessian is None \
-        else [[0.5 * (u + w) * (sa * sb) for u, w, sb in zip(row, col, span)]
-              for row, col, sa in zip(hessian, zip(*hessian), span)]
-    update = _bfgs_update(n)
-    g = [gx[j] * span[j] for j in rng]
+    def each(template):
+        return ", ".join(template.format(j=j) for j in rng)
 
-    iterations = 0
-    while True:
-        # Projected gradient: the part of -g the box lets the point follow.
-        pg = 0.0
-        free = []
-        for j in rng:
-            gj = g[j]
-            if gj > 0.0 and x[j] == lower[j]:
-                continue
-            if gj < 0.0 and x[j] == upper[j]:
-                continue
-            free.append(j)
-            a = abs(gj)
-            if a > pg:
-                pg = a
-        # A NaN entry is free but never raises pg, so it is tested apart:
-        # no point with one passes the test.
-        if pg <= tol * (1.0 + abs(fx)) and not any(map(math.isnan, g)):
-            stop = "tolerance"
-            break
-        if iterations >= max_iter:
-            stop = "iteration_cap"
-            break
+    def vector(template):
+        return "[" + each(template) + "]"
 
-        # Quasi-Newton direction on the free coordinates, B_FF p = -g_F.
-        p = [0.0] * n
-        pf = _cholesky_solve(b_mat, free, g)
-        slope = 0.0
-        if pf is not None:
-            for a, v in zip(free, pf):
-                p[a] = -v
-                slope -= g[a] * v
-        step = None
-        if slope < 0.0:
-            step, used = _line_search(fg, x, fx, g, p, span, lower, upper,
-                                      free)
-            evals += used
-        if step is None:
-            # No factor, no descent or nothing accepted along B's
-            # direction: retry from the identity, whose direction -g_F
-            # descends whenever the tolerance test has not stopped the loop.
-            if b_mat == eye:
-                stop = "line_search"
-                break
-            b_mat = eye
-            continue
-        x_new, f_new, g_new = step
-        iterations += 1
+    def tup(template):
+        return "(" + each(template) + ("," if n == 1 else "") + ")"
 
-        # BFGS update of B with the scaled step and gradient change;
-        # skipped when the curvature is not positive.
-        s = [0.0] * n
-        y = [0.0] * n
-        sy = yy = 0.0
-        for j in rng:
-            s[j] = sj = (x_new[j] - x[j]) / span[j]
-            y[j] = yj = g_new[j] - g[j]
-            sy += sj * yj
-            yy += yj * yj
-        x, fx, g = x_new, f_new, g_new
-        if sy <= 1e-12 * yy:
-            continue
-        b_mat = update(b_mat, s, y, sy)
-    b_end = tuple([tuple([v / (sa * sb) for v, sb in zip(row, span)])
-                   for row, sa in zip(b_mat, span)])
-    return BoxResult(tuple(x), fx, stop == "tolerance", iterations, evals,
-                     b_end, stop, pg)
+    def total(template):
+        return "0.0" + "".join(" + " + template.format(j=j) for j in rng)
+
+    out = ["def box_solve(fg, lower, upper, start, tol, max_iter, hessian):",
+           f"    {vector('lo{j}')} = lower",
+           f"    {vector('hi{j}')} = upper",
+           f"    {vector('x{j}')} = start"]
+    for j in rng:
+        # min(hi, max(lo, x)), the first argument kept on ties and NaN.
+        out += [f"    if not x{j} > lo{j}:",
+                f"        x{j} = lo{j}",
+                f"    if not x{j} < hi{j}:",
+                f"        x{j} = hi{j}",
+                f"    sp{j} = hi{j} - lo{j}"]
+    out += [f"    fx, gx = fg({vector('x{j}')})",
+            "    evals = 1",
+            "    if not isfinite(fx):",
+            f"        return BoxResult({tup('x{j}')}, fx, False, 0, evals,"
+            " hessian, 'nonfinite_start', inf)",
+            f"    span = {vector('sp{j}')}",
+            "    b_mat = eye if hessian is None \\",
+            "        else [[0.5 * (u + w) * (sa * sb)"
+            " for u, w, sb in zip(row, col, span)]",
+            "              for row, col, sa in zip(hessian, zip(*hessian),"
+            " span)]",
+            f"    {vector('g{j}')} = gx"]
+    out += [f"    g{j} = g{j} * sp{j}" for j in rng]
+    out += ["    iterations = 0",
+            "    while True:",
+            # Projected gradient: the part of -g the box lets x follow.
+            "        pg = 0.0",
+            "        free = []",
+            "        keep = free.append"]
+    for j in rng:
+        out += [f"        if x{j} == lo{j} and g{j} > 0.0"
+                f" or x{j} == hi{j} and g{j} < 0.0:",
+                f"            f{j} = False",
+                "        else:",
+                f"            f{j} = True",
+                f"            keep({j})",
+                # pg = max(pg, abs(g)) while pg >= 0; NaN leaves pg alone.
+                f"            if g{j} > pg:",
+                f"                pg = g{j}",
+                f"            elif -g{j} > pg:",
+                f"                pg = -g{j}"]
+    nan = " or ".join(f"g{j} != g{j}" for j in rng) or "False"
+    out += [f"        if pg <= tol * (1.0 + abs(fx)) and not ({nan}):",
+            "            stop = 'tolerance'",
+            "            break",
+            "        if iterations >= max_iter:",
+            "            stop = 'iteration_cap'",
+            "            break",
+            # Quasi-Newton direction on the free coordinates, B_FF p = -g_F,
+            # with the largest |p| for the first trial.
+            f"        pf = chol(b_mat, free, {vector('g{j}')})",
+            "        slope = 0.0",
+            "        ok = False",
+            "        if pf is not None:",
+            "            pf.reverse()",
+            "            pop = pf.pop",
+            "            pmax = 0.0"]
+    for j in rng:
+        out += [f"            if f{j}:",
+                "                v = pop()",
+                f"                p{j} = -v",
+                f"                slope -= g{j} * v",
+                "                if v > pmax:",
+                "                    pmax = v",
+                "                elif -v > pmax:",
+                "                    pmax = -v"]
+    out += ["        if slope < 0.0:",
+            # Armijo backtracking along x(t) = P(x + t p); the first trial
+            # moves the largest coordinate by at most one span.
+            "            t = 1.0 / pmax",
+            "            if not t < 1.0:",
+            "                t = 1.0",
+            "            for _ in trials:",
+            "                moved = False",
+            "                dec = 0.0"]
+    for j in rng:
+        out += [f"                if f{j}:",
+                f"                    v = x{j} + t * p{j} * sp{j}",
+                f"                    if not v > lo{j}:",
+                f"                        v = lo{j}",
+                f"                    if not v < hi{j}:",
+                f"                        v = hi{j}",
+                f"                    if v != x{j}:",
+                "                        moved = True",
+                "                    else:",
+                f"                        v = x{j}",
+                f"                    t{j} = v",
+                f"                    s{j} = (v - x{j}) / sp{j}",
+                f"                    dec += g{j} * s{j}",
+                "                else:",
+                f"                    t{j} = x{j}",
+                f"                    s{j} = (x{j} - x{j}) / sp{j}"]
+    out += ["                if not moved:",
+            "                    break",
+            f"                ft, gt = fg({vector('t{j}')})",
+            "                evals += 1",
+            f"                if dec < 0.0 and ft <= fx + {_ARMIJO!r} * dec:",
+            "                    ok = True",
+            "                    break",
+            "                t *= 0.5",
+            "        if not ok:",
+            # No factor, no descent or nothing accepted along B's direction:
+            # retry from the identity, whose direction -g_F descends
+            # whenever the tolerance test has not stopped the loop.
+            "            if b_mat == eye:",
+            "                stop = 'line_search'",
+            "                break",
+            "            b_mat = eye",
+            "            continue",
+            "        iterations += 1",
+            f"        {vector('u{j}')} = gt"]
+    for j in rng:
+        out += [f"        u{j} = u{j} * sp{j}",
+                f"        y{j} = u{j} - g{j}",
+                f"        x{j} = t{j}",
+                f"        g{j} = u{j}"]
+    out += [f"        sy = {total('s{j} * y{j}')}",
+            f"        yy = {total('y{j} * y{j}')}",
+            "        fx = ft",
+            # BFGS update of B, skipped when the curvature is not positive.
+            "        if sy <= 1e-12 * yy:",
+            "            continue",
+            f"        b_mat = update(b_mat, {vector('s{j}')},"
+            f" {vector('y{j}')}, sy)",
+            "    b_end = tuple([tuple([v / (sa * sb)"
+            " for v, sb in zip(row, span)])",
+            "                   for row, sa in zip(b_mat, span)])",
+            f"    return BoxResult({tup('x{j}')}, fx, stop == 'tolerance',"
+            " iterations, evals, b_end, stop, pg)"]
+    return "\n".join(out) + "\n"
 
 
 # Generated BFGS updates by size; an entry is written once and never
@@ -239,44 +343,3 @@ def _cholesky_solve(b_mat, free, g):
             s -= low[q][c] * v[q]
         v[c] = s / low[c][c]
     return v
-
-
-def _line_search(fg, x, fx, g, p, span, lower, upper, free):
-    """Armijo backtracking along the projection arc x(t) = P(x + t p).
-
-    p and g are in span units, and p descends (g'p < 0), so some free
-    entry of p is nonzero.  The first trial moves the largest
-    coordinate by at most one span; a trial x_t is accepted when
-    dec = g'(x_t - x) < 0 and f(x_t) <= f(x) + _ARMIJO * dec.  Returns
-    ((x, f, scaled gradient) of the first accepted point or None,
-    evaluations used); None when _MAX_HALVINGS halvings accept nothing
-    or the step shrinks to nothing.
-    """
-    pmax = 0.0
-    for a in free:
-        v = abs(p[a])
-        if v > pmax:
-            pmax = v
-    t = min(1.0, 1.0 / pmax)
-    used = 0
-    for _ in range(_MAX_HALVINGS):
-        xt = x[:]
-        moved = False
-        for a in free:
-            v = x[a] + t * p[a] * span[a]
-            v = v if v > lower[a] else lower[a]    # min(upper, max(lower, v))
-            v = v if v < upper[a] else upper[a]
-            if v != x[a]:
-                xt[a] = v
-                moved = True
-        if not moved:
-            break
-        ft, gt = fg(xt)
-        used += 1
-        dec = 0.0
-        for a in free:
-            dec += g[a] * ((xt[a] - x[a]) / span[a])
-        if dec < 0.0 and ft <= fx + _ARMIJO * dec:
-            return (xt, ft, [gj * sp for gj, sp in zip(gt, span)]), used
-        t *= 0.5
-    return None, used

@@ -1,16 +1,22 @@
-"""The loop forms of the two generated kernels, kept as the references the
+"""The loop forms of the generated code, kept as the references the
 generated straight-line code must match bit for bit.
 
 ``_chain`` (the Euler prediction), ``_cost_partials`` (the cost sum with
 its partials) and the reverse (adjoint) sweep in ``horizon_cost_grad`` are
-``_core_py.horizon_cost_grad`` written as loops; ``bfgs_update`` is the
-BFGS update of ``optimize.minimize_box`` written as loops.  Each performs
-the float operations in the order the generated code must keep.
+``_core_py.horizon_cost_grad`` written as loops.  ``bfgs_update`` is the
+BFGS update of ``optimize.minimize_box`` written as loops, and
+``minimize_box`` with ``_line_search`` is the rest of the solver's
+iteration written as loops.  Each performs the float operations in the
+order the generated code must keep.  ``nearest_arclength`` is the path
+query's full scan, which the box-pruned query must match to the bit.
 """
 
 import math
 
+from lanempc.dubins import _nearest_on_segment
 from lanempc.dynamics import VX_FLOOR
+from lanempc.optimize import (_ARMIJO, _MAX_HALVINGS, BoxResult,
+                              _cholesky_solve)
 
 INF = math.inf
 
@@ -229,3 +235,160 @@ def bfgs_update(b_mat, s, y, sy):
             v = row[b] - ba * bs[b] / sbs + ya * y[b] / sy
             row[b] = b_mat[b][a] = v
     return b_mat
+
+
+def minimize_box(fg, lower, upper, x0, tol=1e-9, max_iter=100,
+                 hessian=None):
+    """``optimize.minimize_box`` written as loops over lists: the same
+    checks, the same float operations in the same order and the same
+    BoxResult.  The BFGS update is ``bfgs_update`` above and the line
+    search ``_line_search`` below; the Cholesky solve is the library's
+    own, a loop in both forms.
+    """
+    n = len(x0)
+    if len(lower) != n or len(upper) != n:
+        raise ValueError("lower/upper/x0 lengths differ")
+    if hessian is not None and (len(hessian) != n
+                                or any(len(row) != n for row in hessian)):
+        raise ValueError(f"hessian must be {n} rows of {n} entries")
+    for j in range(n):
+        if not lower[j] < upper[j]:
+            raise ValueError(f"lower[{j}] must be < upper[{j}]")
+    span = [upper[j] - lower[j] for j in range(n)]
+    rng = range(n)
+
+    x = [min(hi, max(lo, v)) for v, lo, hi in zip(x0, lower, upper)]
+    fx, gx = fg(x)
+    evals = 1
+    if not math.isfinite(fx):
+        return BoxResult(tuple(x), fx, False, 0, evals, hessian,
+                         "nonfinite_start", math.inf)
+    # B is replaced, never changed in place, so it may be eye itself.
+    eye = [[float(a == b) for b in rng] for a in rng]
+    b_mat = eye if hessian is None \
+        else [[0.5 * (u + w) * (sa * sb) for u, w, sb in zip(row, col, span)]
+              for row, col, sa in zip(hessian, zip(*hessian), span)]
+    g = [gx[j] * span[j] for j in rng]
+
+    iterations = 0
+    while True:
+        # Projected gradient: the part of -g the box lets the point follow.
+        pg = 0.0
+        free = []
+        for j in rng:
+            gj = g[j]
+            if gj > 0.0 and x[j] == lower[j]:
+                continue
+            if gj < 0.0 and x[j] == upper[j]:
+                continue
+            free.append(j)
+            a = abs(gj)
+            if a > pg:
+                pg = a
+        # A NaN entry is free but never raises pg, so it is tested apart:
+        # no point with one passes the test.
+        if pg <= tol * (1.0 + abs(fx)) and not any(map(math.isnan, g)):
+            stop = "tolerance"
+            break
+        if iterations >= max_iter:
+            stop = "iteration_cap"
+            break
+
+        # Quasi-Newton direction on the free coordinates, B_FF p = -g_F.
+        p = [0.0] * n
+        pf = _cholesky_solve(b_mat, free, g)
+        slope = 0.0
+        if pf is not None:
+            for a, v in zip(free, pf):
+                p[a] = -v
+                slope -= g[a] * v
+        step = None
+        if slope < 0.0:
+            step, used = _line_search(fg, x, fx, g, p, span, lower, upper,
+                                      free)
+            evals += used
+        if step is None:
+            # No factor, no descent or nothing accepted along B's
+            # direction: retry from the identity, whose direction -g_F
+            # descends whenever the tolerance test has not stopped the loop.
+            if b_mat == eye:
+                stop = "line_search"
+                break
+            b_mat = eye
+            continue
+        x_new, f_new, g_new = step
+        iterations += 1
+
+        # BFGS update of B with the scaled step and gradient change;
+        # skipped when the curvature is not positive.
+        s = [0.0] * n
+        y = [0.0] * n
+        sy = yy = 0.0
+        for j in rng:
+            s[j] = sj = (x_new[j] - x[j]) / span[j]
+            y[j] = yj = g_new[j] - g[j]
+            sy += sj * yj
+            yy += yj * yj
+        x, fx, g = x_new, f_new, g_new
+        if sy <= 1e-12 * yy:
+            continue
+        b_mat = bfgs_update(b_mat, s, y, sy)
+    b_end = tuple([tuple([v / (sa * sb) for v, sb in zip(row, span)])
+                   for row, sa in zip(b_mat, span)])
+    return BoxResult(tuple(x), fx, stop == "tolerance", iterations, evals,
+                     b_end, stop, pg)
+
+
+def _line_search(fg, x, fx, g, p, span, lower, upper, free):
+    """Armijo backtracking along the projection arc x(t) = P(x + t p).
+
+    p and g are in span units, and p descends (g'p < 0), so some free
+    entry of p is nonzero.  The first trial moves the largest
+    coordinate by at most one span; a trial x_t is accepted when
+    dec = g'(x_t - x) < 0 and f(x_t) <= f(x) + _ARMIJO * dec.  Returns
+    ((x, f, scaled gradient) of the first accepted point or None,
+    evaluations used); None when _MAX_HALVINGS halvings accept nothing
+    or the step shrinks to nothing.
+    """
+    pmax = 0.0
+    for a in free:
+        v = abs(p[a])
+        if v > pmax:
+            pmax = v
+    t = min(1.0, 1.0 / pmax)
+    used = 0
+    for _ in range(_MAX_HALVINGS):
+        xt = x[:]
+        moved = False
+        for a in free:
+            v = x[a] + t * p[a] * span[a]
+            v = v if v > lower[a] else lower[a]    # min(upper, max(lower, v))
+            v = v if v < upper[a] else upper[a]
+            if v != x[a]:
+                xt[a] = v
+                moved = True
+        if not moved:
+            break
+        ft, gt = fg(xt)
+        used += 1
+        dec = 0.0
+        for a in free:
+            dec += g[a] * ((xt[a] - x[a]) / span[a])
+        if dec < 0.0 and ft <= fx + _ARMIJO * dec:
+            return (xt, ft, [gj * sp for gj, sp in zip(gt, span)]), used
+        t *= 0.5
+    return None, used
+
+
+def nearest_arclength(path, px, py):
+    """``dubins.nearest_arclength`` evaluating every segment: the first
+    strictly nearest one, in the path's order, wins."""
+    best_d2 = math.inf
+    best_s = 0.0
+    for seg, off in zip(path.segments, path.offsets):
+        d2, local = _nearest_on_segment(seg, px, py)
+        if d2 < best_d2:
+            best_d2 = d2
+            best_s = off + local
+    return best_s, math.sqrt(best_d2)
+

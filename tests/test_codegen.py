@@ -11,14 +11,15 @@ from test_kernels import _cost_args
 
 
 def test_generated_functions_name_their_module():
-    # Generate a kernel and an update, then check every one generated so
-    # far in this process.
+    # Generate a kernel, a solver and its update, then check every one
+    # generated so far in this process.
     state = (10.0, 0.0, 0.0, 0.0, 1.0, 0.0)
     _core_py.horizon_cost_grad(*_cost_args(state, [0.0, 0.0], (1.0, 1.0)))
     optimize.minimize_box(lambda x: (x[0] * x[0], [2.0 * x[0]]), [-1.0],
                           [1.0], [0.5])
     caches = ((_core_py, _core_py._GRAD_KERNELS),
-              (optimize, optimize._BFGS_UPDATES))
+              (optimize, optimize._BFGS_UPDATES),
+              (optimize, optimize._BOX_SOLVERS))
     for module, cache in caches:
         assert cache
         for key, fn in cache.items():
@@ -37,3 +38,13 @@ def test_traceback_shows_the_generated_line():
     frame = traceback.extract_tb(info.tb)[-1]
     assert frame.filename.startswith("<lanempc._core_py.horizon_cost_grad (2,")
     assert frame.line == "ex = x1 - refs[2]"
+
+
+def test_traceback_through_the_generated_solver():
+    # A gradient one entry short fails where the solver unpacks it.
+    with pytest.raises(ValueError) as info:
+        optimize.minimize_box(lambda x: (0.0, [1.0]), [-1.0, -1.0],
+                              [1.0, 1.0], [0.0, 0.0])
+    frame = traceback.extract_tb(info.tb)[-1]
+    assert frame.filename == "<lanempc.optimize.box_solve 2>"
+    assert frame.line == "[g0, g1] = gx"

@@ -1,14 +1,23 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
-from lanempc.dubins import (PathConstructionError, build_lane_change_path,
+from lanempc import MpcConfig, harness
+from lanempc.dubins import (PathConstructionError, ReferencePath,
+                            _sample_segment, build_lane_change_path,
                             min_turn_radius, nearest_arclength,
                             sample_reference)
 from lanempc.dynamics import VehicleState
 from lanempc.mpc import reference_for_horizon
 from lanempc.scenario import (Obstacle, Road, Scenario, obstacle_boundary_at,
                               rect_signed_distance)
+
+from fuzz_layouts import layout, planned_path
+from loop_reference import nearest_arclength as loop_nearest_arclength
+from output_digest import SHIPPED
+from shipped import load_scenario
 
 
 def _samples(path, ds=0.05):
@@ -250,3 +259,115 @@ class TestHorizonReferences:
             s = min(path.total_length, s0 + i * 0.1 * 10.0)
             x, y, _, _ = sample_reference(path, s)
             assert p == pytest.approx((x, y), abs=1e-6)
+
+
+def _query_points(path, rng, count):
+    """Random points around the path, then each segment's ends, its arc
+    centre and the points a hair either side of each end: the junctions
+    where two segments tie."""
+    x0, x1 = path.segments[0].start[0], path.segments[-1].end[0]
+    ys = [p[1] for p in path.waypoints] or [0.0]
+    y0, y1 = min(ys) - 6.0, max(ys) + 6.0
+    points = [(rng.uniform(x0 - 15.0, x1 + 15.0), rng.uniform(y0, y1))
+              for _ in range(count)]
+    for seg in path.segments:
+        for px, py in (seg.start, seg.end):
+            points += [(px, py), (math.nextafter(px, math.inf), py),
+                       (px, math.nextafter(py, -math.inf))]
+        if seg.kind == "arc":
+            points.append(seg.centre)
+    return points
+
+
+def _assert_queries_match_full_scan(path, points):
+    for px, py in points:
+        got = nearest_arclength(path, px, py)
+        want = loop_nearest_arclength(path, px, py)
+        assert repr(got) == repr(want), (px, py)
+
+
+class TestNearestArclength:
+    """The box-pruned query returns the full scan's arclength and distance
+    (tests/loop_reference.py), to the bit."""
+
+    @staticmethod
+    def shipped_plans(params):
+        # Each shipped t=0 plan, and the dynamic run's plan rebuilt every
+        # second from the logged states.
+        plans = [build_lane_change_path(load_scenario(name), params)
+                 for name in SHIPPED]
+        dynamic = load_scenario("dynamic_three_vehicle")
+        log = harness.run(dynamic, params, MpcConfig())
+        for row in log.rows[10::10]:
+            try:
+                plans.append(build_lane_change_path(
+                    dynamic, params, at_time=row.t, ego=row.state))
+            except PathConstructionError:
+                pass
+        return plans
+
+    def test_shipped_plans(self, params):
+        rng = random.Random(1)
+        plans = self.shipped_plans(params)
+        assert len(plans) > 10
+        for path in plans:
+            _assert_queries_match_full_scan(path, _query_points(path, rng,
+                                                                 300))
+
+    def test_fuzz_plans(self, params):
+        rng = random.Random(2)
+        planned = 0
+        for seed in range(1, 80):
+            path = planned_path(layout(seed), params)
+            if path is None:
+                continue
+            planned += 1
+            _assert_queries_match_full_scan(path, _query_points(path, rng,
+                                                                 100))
+        assert planned > 30
+
+    def test_non_finite_queries(self, params, static_scenario):
+        path = build_lane_change_path(static_scenario, params)
+        inf, nan = math.inf, math.nan
+        for px, py in ((nan, 0.0), (0.0, nan), (nan, nan), (inf, 0.0),
+                       (-inf, 1.0), (30.0, inf), (30.0, -inf), (inf, inf)):
+            got = nearest_arclength(path, px, py)
+            want = loop_nearest_arclength(path, px, py)
+            assert repr(got) == repr(want), (px, py)
+
+    def test_boxes_hold_each_segment(self, params, static_scenario):
+        path = build_lane_change_path(static_scenario, params)
+        assert len(path.boxes) == len(path.segments)
+        for seg, (x0, x1, y0, y1) in zip(path.segments, path.boxes):
+            for i in range(101):
+                x, y = _sample_segment(seg, seg.length * i / 100)[:2]
+                assert x0 - 1e-9 <= x <= x1 + 1e-9
+                assert y0 - 1e-9 <= y <= y1 + 1e-9
+
+
+class TestReferencePathValue:
+    """The boxes are derived, not part of the path's value: repr, equality
+    and hash read the five constructor fields alone."""
+
+    def test_repr_names_the_constructor_fields(self, params,
+                                               static_scenario):
+        path = build_lane_change_path(static_scenario, params)
+        assert repr(path) == (
+            f"ReferencePath(segments={path.segments!r}, "
+            f"waypoints={path.waypoints!r}, "
+            f"total_length={path.total_length!r}, "
+            f"offsets={path.offsets!r}, "
+            f"design_speed={path.design_speed!r})")
+
+    def test_equality_and_rebuild(self, params, static_scenario):
+        a = build_lane_change_path(static_scenario, params)
+        b = ReferencePath(segments=a.segments, waypoints=a.waypoints,
+                          total_length=a.total_length, offsets=a.offsets,
+                          design_speed=a.design_speed)
+        assert a == b and hash(a) == hash(b) and a.boxes == b.boxes
+        c = dataclasses.replace(a, segments=a.segments[:3],
+                                offsets=a.offsets[:3])
+        assert c != a and c.boxes == a.boxes[:3]
+        with pytest.raises(TypeError):
+            ReferencePath(segments=(), waypoints=(), total_length=0.0,
+                          offsets=(), design_speed=10.0, boxes=())

@@ -90,6 +90,16 @@ class TestStep:
     def test_zero_dt_is_identity(self, params):
         s = S(vy=0.3, r=0.1, Y=2.0, psi=0.2)
         assert step(s, ControlInput(0.02, 30.0), params, 0.0) == s
+        # Below the slip model's speed floor: nothing is evaluated.
+        slow = VehicleState(vx=0.05)
+        assert step(slow, ControlInput(0.02, 30.0), params, 0.0) is slow
+        # Negative zeros stay negative: the state itself comes back.
+        signed = VehicleState(vx=10.0, vy=-0.0, r=-0.0, X=-0.0, Y=-0.0,
+                              psi=-0.0)
+        out = step(signed, ControlInput(0.02, 30.0), params, 0.0)
+        assert out is signed
+        assert [math.copysign(1.0, v) for v in
+                (out.vy, out.r, out.X, out.Y, out.psi)] == [-1.0] * 5
 
     def test_matches_fine_euler_reference(self, params):
         # Independent oracle: explicit Euler at dt=1e-5 over 1 s.

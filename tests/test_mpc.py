@@ -348,12 +348,20 @@ class TestSolveStep:
                                 (0.1, -cfg.Tb_max))
 
     def _recorded_starts(self, monkeypatch, params, cfg, state, warm):
-        """solve_step's result and the start of each minimize_box call."""
+        """solve_step's result and, for each minimize_box call, the start
+        it was given and the first point it evaluated."""
         starts = []
 
         def recording(fg, lower, upper, x0, **kwargs):
-            starts.append(list(x0))
-            return minimize_box(fg, lower, upper, x0, **kwargs)
+            seen = []
+
+            def first_point(x):
+                if not seen:
+                    seen.append(list(x))
+                return fg(x)
+            box = minimize_box(first_point, lower, upper, x0, **kwargs)
+            starts.append((list(x0), seen[0]))
+            return box
 
         monkeypatch.setattr(mpc, "minimize_box", recording)
         sc = wide_road_scenario()
@@ -366,8 +374,10 @@ class TestSolveStep:
         warm = ((2.0, 50.0), (0.01, -500.0), (0.0, 10.0))
         res, starts = self._recorded_starts(monkeypatch, params, cfg,
                                             S(X=10.0, Y=0.1), warm)
-        assert starts == [[cfg.delta_max, 50.0, 0.01, -cfg.Tb_max,
-                           0.0, 10.0]]
+        # The warm start goes in as it is; the solve clips it to the box.
+        assert starts == [([2.0, 50.0, 0.01, -500.0, 0.0, 10.0],
+                           [cfg.delta_max, 50.0, 0.01, -cfg.Tb_max,
+                            0.0, 10.0])]
         assert res.converged and not res.fallback
 
     def test_one_start_from_a_non_finite_warm_start(self, monkeypatch,
@@ -381,7 +391,7 @@ class TestSolveStep:
         clipped = ((0.0, -cfg.Tb_max),) * cfg.Np
         res, starts = self._recorded_starts(monkeypatch, params, cfg, state,
                                             warm)
-        assert starts == [flatten_pairs(clipped)]
+        assert starts == [(flatten_pairs(warm), flatten_pairs(clipped))]
         assert res.fallback and res.cost == math.inf
         assert res.sequence == clipped
 

@@ -8,6 +8,7 @@ from lanempc.optimize import BoxResult, minimize_box
 
 from fd_reference import fd_gradient
 from loop_reference import bfgs_update
+from loop_reference import minimize_box as loop_minimize_box
 
 
 def quadratic(centre):
@@ -377,3 +378,108 @@ class TestFdGradient:
     def test_zero_step_coordinate_skipped(self):
         g = fd_gradient(lambda x: x[0] ** 2, [1.0, 5.0], [1e-6, 0.0])
         assert g[1] == 0.0
+
+
+class TestGeneratedSolver:
+    """The straight-line solver minimize_box generates for each size n
+    returns the loop form's BoxResult (tests/loop_reference.py), equal by
+    repr: every iterate, count, stop reason and curvature estimate."""
+
+    @staticmethod
+    def dense(rng, n):
+        # A symmetric positive definite matrix with a dense coupling.
+        m = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+        return [[sum(m[a][k] * m[b][k] for k in range(n)) / n + (a == b)
+                 for b in range(n)] for a in range(n)]
+
+    @classmethod
+    def cases(cls, n):
+        """(name, fg, lower, upper, x0, keyword arguments) per behaviour,
+        on unequal spans; n = 128 keeps to a few iterations."""
+        rng = random.Random(n)
+        lower = [-rng.uniform(0.5, 2.0) for _ in range(n)]
+        upper = [rng.uniform(0.5, 300.0) for _ in range(n)]
+        x0 = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+        cap = 4 if n > 16 else 40
+        hess = cls.dense(rng, n)
+        # Every third centre lies outside the box, so its bound pins.
+        centre = [rng.uniform(-0.4, 0.4) + (3.0 if j % 3 == 0 else 0.0)
+                  * (-1.0) ** j for j in range(n)]
+
+        def pinned(x):
+            d = [xi - ci for xi, ci in zip(x, centre)]
+            g = [sum(h * dj for h, dj in zip(row, d)) for row in hess]
+            return 0.5 * sum(gi * di for gi, di in zip(g, d)), g
+
+        def wavy(x):
+            value = sum((xi - ci) ** 2 for xi, ci in zip(x, centre))
+            g = [2.0 * (xi - ci) for xi, ci in zip(x, centre)]
+            for j in range(n - 1):
+                a, b = x[j], x[j + 1]
+                value += 0.4 * math.sin(3.0 * a) * math.cos(2.0 * b)
+                g[j] += 1.2 * math.cos(3.0 * a) * math.cos(2.0 * b)
+                g[j + 1] -= 0.8 * math.sin(3.0 * a) * math.sin(2.0 * b)
+            return value, g
+
+        def nan_gradient(x):
+            value, g = wavy(x)
+            g[n // 2] = math.nan
+            return value, g
+
+        def only_the_start(x):
+            first = [min(hi, max(lo, v)) for v, lo, hi in
+                     zip(x0, lower, upper)]
+            return (1.0, [1.0] * n) if x == first else (math.inf, None)
+
+        asymmetric = [[h + rng.uniform(-0.1, 0.1) for h in row]
+                      for row in hess]
+        return [
+            ("pinned_quadratic", pinned, lower, upper, x0,
+             {"tol": 1e-10, "max_iter": cap}),
+            ("non_convex", wavy, lower, upper, x0,
+             {"tol": 1e-9, "max_iter": cap}),
+            ("nan_gradient", nan_gradient, lower, upper, x0, {}),
+            ("non_finite_start", lambda x: (math.inf, None), lower, upper,
+             x0, {"hessian": hess}),
+            ("iteration_cap", wavy, lower, upper, x0, {"max_iter": 2}),
+            ("identity_restart", pinned, lower, upper, x0,
+             {"max_iter": cap,
+              "hessian": [[-h for h in row] for row in hess]}),
+            ("line_search", only_the_start, lower, upper, x0,
+             {"hessian": hess}),
+            ("hessian_seed", pinned, lower, upper, x0,
+             {"tol": 1e-10, "max_iter": cap, "hessian": asymmetric}),
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 16, 128])
+    def test_matches_loop_bitwise(self, n):
+        stops = set()
+        for name, fg, lower, upper, x0, kwargs in self.cases(n):
+            want = loop_minimize_box(fg, lower, upper, x0, **kwargs)
+            got = minimize_box(fg, lower, upper, x0, **kwargs)
+            assert repr(got) == repr(want), name
+            stops.add(got.stop)
+        # Each way out of the iteration is taken (n = 1 converges before
+        # the cap, n = 128 is capped before it converges).
+        assert stops >= {"line_search", "nonfinite_start"}
+        if 1 < n < 128:
+            assert stops == {"tolerance", "iteration_cap", "line_search",
+                             "nonfinite_start"}
+
+    def test_restart_takes_the_identity_from_the_seed(self):
+        # A negative definite seed has no Cholesky factor: the first
+        # direction comes from the identity, which the solver keeps as a
+        # constant per n and never changes in place.
+        n = 6
+        _, fg, lower, upper, x0, kwargs = self.cases(n)[5]
+        eye = optimize._box_solver(n).__globals__["eye"]
+        before = repr(eye)
+        res = minimize_box(fg, lower, upper, x0, **kwargs)
+        assert res.converged and repr(eye) == before
+        assert eye == [[float(a == b) for b in range(n)] for a in range(n)]
+
+    def test_generated_once_per_size(self):
+        n = 7
+        first = optimize._box_solver(n)
+        assert optimize._box_solver(n) is first
+        assert optimize._BOX_SOLVERS[n] is first

@@ -25,6 +25,7 @@ from lanempc.scenario import (Obstacle, Rect, Road, Scenario,
                               obstacle_boundary_at, rect_signed_distance)
 
 from fuzz_layouts import mirrored
+from loop_reference import nearest_arclength as loop_nearest_arclength
 
 # Sample spacing (m) of the sweep the exact check replaced.
 OLD_DS = 0.05
@@ -165,6 +166,26 @@ def test_exact_check_agrees_with_fine_oracle(case):
         elif exact:
             assert _raises(_dense_validate, path,
                            *_loosened(r, rs, 0.5 * ds), ds)
+
+
+# -- the box-pruned path query against the full scan --------------------------
+
+queries = st.lists(st.tuples(st.floats(-15.0, 15.0), st.floats(-15.0, 15.0)),
+                   min_size=1, max_size=20)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(segments, min_size=1, max_size=6), queries)
+def test_nearest_arclength_matches_full_scan(segs, points):
+    # The segments chained into one continuous path, and as drawn: apart,
+    # overlapping and in any order.
+    for path in (_chained(*segs), _path_of(*segs)):
+        extra = [p for seg in path.segments for p in (seg.start, seg.end)]
+        extra += [seg.centre for seg in path.segments if seg.kind == "arc"]
+        for px, py in points + extra:
+            got = dubins.nearest_arclength(path, px, py)
+            want = loop_nearest_arclength(path, px, py)
+            assert repr(got) == repr(want), (px, py)
 
 
 class TestConstructedCases:

@@ -19,6 +19,11 @@ tests/test_work_counts.py checks it.  A change that alters the count
 regenerates it and states the change:
 
     PYTHONPATH=src python tests/work_counts.py > tests/work_counts.txt
+
+With ``--functions`` it prints, after each scenario's module counts, the
+count of every (module, function) pair, largest first, so a reader can
+see where a count moved.  That listing is for reading only; the committed
+file and its check hold the module counts alone.
 """
 
 import sys
@@ -32,7 +37,7 @@ from shipped import load_scenario
 
 def count_bytecodes(fn):
     """Calls fn() and returns a Counter of the bytecodes it executed, keyed
-    by the name of each ``lanempc`` module they belong to."""
+    by (module, function name) for each ``lanempc`` module."""
     counts = Counter()
 
     def on_call(frame, event, arg):
@@ -41,10 +46,11 @@ def count_bytecodes(fn):
             return None
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
+        key = (module, frame.f_code.co_name)
 
         def on_event(frame, event, arg):
             if event == "opcode":
-                counts[module] += 1
+                counts[key] += 1
             return on_event
         return on_event
 
@@ -57,23 +63,31 @@ def count_bytecodes(fn):
     return counts
 
 
-def listing():
+def listing(functions=False):
     """The lines after the header: each scenario's name, then its counts
-    per module and in total, indented."""
+    per module and in total, indented; with functions, then the count of
+    each (module, function) pair, largest first."""
     params, cfg = VehicleParams(), MpcConfig()
     for name in SHIPPED:
         scenario = load_scenario(name)
         harness.run(scenario, params, cfg)
         counts = count_bytecodes(lambda: harness.run(scenario, params, cfg))
+        modules = Counter()
+        for (module, _), count in counts.items():
+            modules[module] += count
         yield name
-        for module in sorted(counts):
-            yield f"  {module} {counts[module]}"
-        yield f"  total {sum(counts.values())}"
+        for module in sorted(modules):
+            yield f"  {module} {modules[module]}"
+        yield f"  total {sum(modules.values())}"
+        if functions:
+            for (module, function), count in sorted(
+                    counts.items(), key=lambda item: (-item[1], item[0])):
+                yield f"    {module}.{function} {count}"
 
 
 def main():
     print(platform_header())
-    for line in listing():
+    for line in listing("--functions" in sys.argv[1:]):
         print(line)
 
 
